@@ -308,7 +308,9 @@ impl<'a> RecordingEnv<'a> {
     pub fn new(inner: &'a mut Kernel) -> Self {
         RecordingEnv {
             inner,
-            touches: Vec::new(),
+            // The log lives as long as the cached flow, and most
+            // pipelines make one helper call: start at one slot, not four.
+            touches: Vec::with_capacity(1),
         }
     }
 
@@ -430,17 +432,44 @@ struct CacheCounters {
     evictions: Option<Counter>,
 }
 
+/// Slab link meaning "no node": past either end of the recency list.
+const NIL: u32 = u32::MAX;
+
+/// One cached flow in the slab, threaded on the recency list. 64 bytes,
+/// so a relink touches one cache line per node.
+#[derive(Debug)]
+struct Node {
+    key: FlowKey,
+    entry: Arc<FlowEntry>,
+    /// Neighbour used more recently (towards the head), or [`NIL`].
+    prev: u32,
+    /// Neighbour used less recently (towards the tail), or [`NIL`].
+    next: u32,
+}
+
 /// The per-hook microflow verdict cache.
 ///
 /// Entries are valid for exactly one combined coherence generation; the
-/// first access under a different generation clears the whole map
+/// first access under a different generation clears the whole cache
 /// (counted as one invalidation per dropped entry). Capacity is bounded;
 /// inserts beyond it evict the least-recently-used flow.
+///
+/// Flows live in a slab of [`Node`]s found through a key → slot index
+/// and threaded on a doubly-linked recency list. Every hit and insert
+/// moves its node to the head, so the tail is always the flow whose last
+/// use is oldest — exact LRU, with O(1) lookup, insert and evict. Nodes
+/// leave only by eviction (the incoming flow reuses the slot) or by a
+/// whole-cache flush, so the slab has no holes and its length is the
+/// entry count.
 #[derive(Debug)]
 pub struct FlowCache {
-    entries: HashMap<FlowKey, (u64, Arc<FlowEntry>)>,
+    index: HashMap<FlowKey, u32>,
+    slab: Vec<Node>,
+    /// Most recently used node, or [`NIL`] when empty.
+    head: u32,
+    /// Least recently used node — the next eviction victim.
+    tail: u32,
     generation: u64,
-    tick: u64,
     capacity: usize,
     hits: u64,
     misses: u64,
@@ -450,13 +479,17 @@ pub struct FlowCache {
 }
 
 impl FlowCache {
-    /// Creates an empty cache holding at most `capacity` flows.
+    /// Creates an empty cache holding at most `capacity` flows; nothing
+    /// is allocated before the first insert.
     pub fn new(capacity: usize) -> Self {
         FlowCache {
-            entries: HashMap::new(),
+            index: HashMap::new(),
+            slab: Vec::new(),
+            head: NIL,
+            tail: NIL,
             generation: 0,
-            tick: 0,
-            capacity: capacity.max(1),
+            // Slots are addressed by `u32` with `NIL` reserved.
+            capacity: capacity.clamp(1, NIL as usize),
             hits: 0,
             misses: 0,
             invalidations: 0,
@@ -502,15 +535,51 @@ impl FlowCache {
 
     fn validate(&mut self, generation: u64) {
         if self.generation != generation {
-            let dropped = self.entries.len() as u64;
+            let dropped = self.slab.len() as u64;
             if dropped > 0 {
                 self.invalidations += dropped;
                 if let Some(c) = &self.counters.invalidations {
                     c.add(dropped);
                 }
             }
-            self.entries.clear();
+            self.index.clear();
+            self.slab.clear();
+            self.head = NIL;
+            self.tail = NIL;
             self.generation = generation;
+        }
+    }
+
+    /// Takes node `i` out of the recency list (its own links go stale).
+    fn unlink(&mut self, i: u32) {
+        let Node { prev, next, .. } = self.slab[i as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slab[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slab[n as usize].prev = prev,
+        }
+    }
+
+    /// Makes the unlinked node `i` the most recently used.
+    fn push_front(&mut self, i: u32) {
+        let old_head = self.head;
+        let node = &mut self.slab[i as usize];
+        (node.prev, node.next) = (NIL, old_head);
+        match old_head {
+            NIL => self.tail = i,
+            h => self.slab[h as usize].prev = i,
+        }
+        self.head = i;
+    }
+
+    /// Moves node `i` to the head, unless back-to-back packets left it there.
+    fn touch(&mut self, i: u32) {
+        if self.head != i {
+            self.unlink(i);
+            self.push_front(i);
         }
     }
 
@@ -520,15 +589,13 @@ impl FlowCache {
     /// so ineligible packets are part of the ledger too).
     pub fn lookup(&mut self, generation: u64, key: &FlowKey) -> Option<Arc<FlowEntry>> {
         self.validate(generation);
-        self.tick += 1;
-        let tick = self.tick;
-        let (last_used, entry) = self.entries.get_mut(key)?;
-        *last_used = tick;
+        let i = *self.index.get(key)?;
+        self.touch(i);
         self.hits += 1;
         if let Some(c) = &self.counters.hits {
             c.inc();
         }
-        Some(Arc::clone(entry))
+        Some(Arc::clone(&self.slab[i as usize].entry))
     }
 
     /// Counts one cache miss (entry absent, stale, or packet ineligible).
@@ -543,32 +610,45 @@ impl FlowCache {
     /// evicting the least-recently-used entry if the cache is full.
     pub fn insert(&mut self, generation: u64, key: FlowKey, entry: FlowEntry) {
         self.validate(generation);
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
-            if let Some(victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (last_used, _))| *last_used)
-                .map(|(k, _)| *k)
-            {
-                self.entries.remove(&victim);
-                self.evictions += 1;
-                if let Some(c) = &self.counters.evictions {
-                    c.inc();
-                }
-            }
+        let entry = Arc::new(entry);
+        if let Some(&i) = self.index.get(&key) {
+            self.slab[i as usize].entry = entry;
+            self.touch(i);
+            return;
         }
-        self.tick += 1;
-        self.entries.insert(key, (self.tick, Arc::new(entry)));
+        let node = Node {
+            key,
+            entry,
+            prev: NIL,
+            next: NIL,
+        };
+        let i = if self.slab.len() >= self.capacity {
+            // Full: the tail is the victim; its slot takes the new flow.
+            let victim = self.tail;
+            self.unlink(victim);
+            let evicted = std::mem::replace(&mut self.slab[victim as usize], node);
+            self.index.remove(&evicted.key);
+            self.evictions += 1;
+            if let Some(c) = &self.counters.evictions {
+                c.inc();
+            }
+            victim
+        } else {
+            self.slab.push(node);
+            (self.slab.len() - 1) as u32
+        };
+        self.index.insert(key, i);
+        self.push_front(i);
     }
 
     /// Live entry count.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slab.len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slab.is_empty()
     }
 
     /// The combined coherence generation the current entries are valid
@@ -691,6 +771,171 @@ mod tests {
         assert!(cache.lookup(0, &k1).is_some());
         assert!(cache.lookup(0, &k3).is_some());
         assert_eq!(cache.stats().3, 1);
+    }
+
+    /// The pre-slab implementation, kept as the reference oracle: a tick
+    /// per access and an O(capacity) scan for the smallest one on
+    /// eviction. Ticks are unique and monotone, so "smallest tick" and
+    /// "tail of the recency list" must name the same flow every time.
+    struct MinScanCache {
+        entries: HashMap<FlowKey, u64>,
+        generation: u64,
+        tick: u64,
+        capacity: usize,
+        hits: u64,
+        invalidations: u64,
+        evictions: u64,
+    }
+
+    impl MinScanCache {
+        fn new(capacity: usize) -> Self {
+            MinScanCache {
+                entries: HashMap::new(),
+                generation: 0,
+                tick: 0,
+                capacity: capacity.max(1),
+                hits: 0,
+                invalidations: 0,
+                evictions: 0,
+            }
+        }
+
+        fn validate(&mut self, generation: u64) {
+            if self.generation != generation {
+                self.invalidations += self.entries.len() as u64;
+                self.entries.clear();
+                self.generation = generation;
+            }
+        }
+
+        fn lookup(&mut self, generation: u64, key: &FlowKey) -> bool {
+            self.validate(generation);
+            self.tick += 1;
+            let tick = self.tick;
+            let Some(last_used) = self.entries.get_mut(key) else {
+                return false;
+            };
+            *last_used = tick;
+            self.hits += 1;
+            true
+        }
+
+        fn insert(&mut self, generation: u64, key: FlowKey) {
+            self.validate(generation);
+            if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
+                if let Some(victim) = self
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, last_used)| **last_used)
+                    .map(|(k, _)| *k)
+                {
+                    self.entries.remove(&victim);
+                    self.evictions += 1;
+                }
+            }
+            self.tick += 1;
+            self.entries.insert(key, self.tick);
+        }
+    }
+
+    /// Walks the recency list both ways and checks it against the index
+    /// and the slab: same node count, mirrored order, every node indexed
+    /// under its own key.
+    fn assert_list_integrity(cache: &FlowCache) {
+        let mut forward = Vec::new();
+        let mut i = cache.head;
+        while i != NIL {
+            forward.push(i);
+            assert!(forward.len() <= cache.len(), "cycle walking head -> tail");
+            i = cache.slab[i as usize].next;
+        }
+        let mut backward = Vec::new();
+        let mut i = cache.tail;
+        while i != NIL {
+            backward.push(i);
+            assert!(backward.len() <= cache.len(), "cycle walking tail -> head");
+            i = cache.slab[i as usize].prev;
+        }
+        backward.reverse();
+        assert_eq!(forward, backward);
+        assert_eq!(forward.len(), cache.len());
+        assert_eq!(cache.index.len(), cache.len());
+        for &i in &forward {
+            assert_eq!(cache.index.get(&cache.slab[i as usize].key), Some(&i));
+        }
+    }
+
+    #[test]
+    fn slab_lru_matches_the_min_scan_oracle() {
+        use linuxfp_sim::SimRng;
+        assert!(std::mem::size_of::<Node>() <= 64);
+        for capacity in [1usize, 2, 3, 64] {
+            // Enough distinct flows that inserts hit all three cases:
+            // new key with room, existing key, new key at capacity.
+            let keys: Vec<FlowKey> = (0..capacity as u16 * 2 + 3)
+                .map(|p| FlowKey::extract(&frame(1000 + p), IfIndex(1)).unwrap())
+                .collect();
+            for seed in 0..4 {
+                let mut rng = SimRng::seed(seed * 31 + capacity as u64);
+                let mut cache = FlowCache::new(capacity);
+                let mut oracle = MinScanCache::new(capacity);
+                let mut generation = 0u64;
+                for _ in 0..2000 {
+                    let key = *rng.choose(&keys);
+                    match rng.uniform_u64(1000) {
+                        0..=2 => generation += 1,
+                        3..=499 => {
+                            cache.insert(generation, key, entry());
+                            oracle.insert(generation, key);
+                        }
+                        _ => {
+                            let hit = cache.lookup(generation, &key).is_some();
+                            assert_eq!(hit, oracle.lookup(generation, &key));
+                            if !hit {
+                                cache.note_miss();
+                            }
+                        }
+                    }
+                    // Same resident set after every step: whenever one
+                    // evicted, both evicted the same victim.
+                    assert_eq!(cache.len(), oracle.entries.len());
+                    for k in &keys {
+                        assert_eq!(
+                            cache.index.contains_key(k),
+                            oracle.entries.contains_key(k),
+                            "capacity {capacity} seed {seed}: resident sets differ"
+                        );
+                    }
+                    let (hits, _, invalidations, evictions) = cache.stats();
+                    assert_eq!(
+                        (hits, invalidations, evictions),
+                        (oracle.hits, oracle.invalidations, oracle.evictions)
+                    );
+                    assert_list_integrity(&cache);
+                }
+                assert!(cache.stats().3 > 0, "capacity {capacity}: never evicted");
+            }
+        }
+    }
+
+    #[test]
+    fn idle_cache_allocates_nothing_and_flush_resets_the_list() {
+        let mut cache = FlowCache::new(DEFAULT_CAPACITY);
+        assert_eq!(cache.slab.capacity(), 0);
+        assert_eq!(cache.index.capacity(), 0);
+        let k1 = FlowKey::extract(&frame(1), IfIndex(1)).unwrap();
+        let k2 = FlowKey::extract(&frame(2), IfIndex(1)).unwrap();
+        cache.insert(0, k1, entry());
+        cache.insert(0, k2, entry());
+        // The slab grows with the flows it holds, not to the bound: a
+        // shard that sees 100 flows must not pay for 4,096.
+        assert!(cache.slab.capacity() < 16);
+        // A generation bump drops both (two invalidations) and leaves an
+        // empty, reusable list.
+        cache.insert(1, k1, entry());
+        assert_eq!(cache.stats().2, 2);
+        assert_eq!((cache.len(), cache.head, cache.tail), (1, 0, 0));
+        assert_list_integrity(&cache);
     }
 
     #[test]

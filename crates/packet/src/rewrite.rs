@@ -95,33 +95,35 @@ pub fn derive_ops(before: &[u8], after: &[u8], l3: usize) -> Option<Vec<RewriteO
     let is_tcp = proto == 6;
     let is_udp = proto == 17;
 
-    // (start, end, kind) allowed regions; kind: 0 = Set, 1 = CsumAdd.
-    let mut regions: Vec<(usize, usize, u8)> = vec![
-        (0, 6, 0),             // eth dst
-        (6, 12, 0),            // eth src
-        (l3 + 8, l3 + 9, 0),   // TTL
-        (l3 + 10, l3 + 12, 1), // IPv4 header checksum
-        (l3 + 12, l3 + 16, 0), // src addr
-        (l3 + 16, l3 + 20, 0), // dst addr
+    // (start, end, kind) allowed regions in ascending frame order; kind:
+    // 0 = Set, 1 = CsumAdd. On the stack: this runs on every recorded miss.
+    let has_ports = (is_tcp || is_udp) && before.len() >= l4 + 8;
+    let udp_csum = has_ports && is_udp;
+    let tcp_csum = is_tcp && before.len() >= l4 + 18;
+    let regions = [
+        Some((0, 6, 0)),                           // eth dst
+        Some((6, 12, 0)),                          // eth src
+        Some((l3 + 8, l3 + 9, 0)),                 // TTL
+        Some((l3 + 10, l3 + 12, 1)),               // IPv4 header checksum
+        Some((l3 + 12, l3 + 16, 0)),               // src addr
+        Some((l3 + 16, l3 + 20, 0)),               // dst addr
+        has_ports.then_some((l4, l4 + 2, 0)),      // sport
+        has_ports.then_some((l4 + 2, l4 + 4, 0)),  // dport
+        udp_csum.then_some((l4 + 6, l4 + 8, 0)),   // UDP checksum (cleared)
+        tcp_csum.then_some((l4 + 16, l4 + 18, 1)), // TCP checksum
     ];
-    if (is_tcp || is_udp) && before.len() >= l4 + 8 {
-        regions.push((l4, l4 + 2, 0)); // sport
-        regions.push((l4 + 2, l4 + 4, 0)); // dport
-        if is_udp {
-            regions.push((l4 + 6, l4 + 8, 0)); // UDP checksum (cleared)
-        }
-    }
-    if is_tcp && before.len() >= l4 + 18 {
-        regions.push((l4 + 16, l4 + 18, 1)); // TCP checksum
-    }
 
     let mut ops = Vec::new();
-    let mut covered = vec![false; before.len()];
     let mut nat_rewrite = false;
-    for &(start, end, kind) in &regions {
-        for c in &mut covered[start..end] {
-            *c = true;
+    // End of the last allowed region: bytes from here to the next
+    // region's start are a gap no program may edit.
+    let mut allowed_to = 0;
+    for (start, end, kind) in regions.into_iter().flatten() {
+        // Any difference outside the allowed regions is uncacheable.
+        if start > allowed_to && before[allowed_to..start] != after[allowed_to..start] {
+            return None;
         }
+        allowed_to = allowed_to.max(end);
         if before[start..end] == after[start..end] {
             continue;
         }
@@ -140,11 +142,8 @@ pub fn derive_ops(before: &[u8], after: &[u8], l3: usize) -> Option<Vec<RewriteO
             }),
         }
     }
-    // Any difference outside the allowed regions is uncacheable.
-    for (i, c) in covered.iter().enumerate() {
-        if !c && before[i] != after[i] {
-            return None;
-        }
+    if before[allowed_to..] != after[allowed_to..] {
+        return None;
     }
     // The fast path clears the UDP checksum on any address/port change.
     // If the recorded packet's checksum was already zero the diff shows
@@ -449,6 +448,14 @@ mod tests {
         let last = after.len() - 1;
         after[last] ^= 0xFF;
         assert_eq!(derive_ops(&before, &after, l3), None);
+        // So is every gap between two allowed regions: the EtherType,
+        // the IPv4 id, the protocol byte wedged between TTL and header
+        // checksum, the UDP length between the ports and the checksum.
+        for off in [12, l3 + 4, l3 + 9, l3 + 20 + 4] {
+            let mut after = before.clone();
+            after[off] ^= 0x01;
+            assert_eq!(derive_ops(&before, &after, l3), None, "offset {off}");
+        }
         // Length changes are likewise uncacheable.
         let mut longer = before.clone();
         longer.push(0);

@@ -40,7 +40,6 @@
 //! hard-coded answer. Forcing `net.linuxfp.jit=0` falls back to the
 //! reference interpreter at [`CostModel::ebpf_insn_ns`] per instruction.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Calibrated nanosecond prices for every simulated operation.
@@ -403,7 +402,8 @@ impl Default for CostModel {
 #[derive(Debug, Clone, Default)]
 pub struct CostTracker {
     total_ns: f64,
-    stages: BTreeMap<&'static str, StageCost>,
+    /// One slot per distinct stage name, in first-charge order.
+    stages: Vec<(&'static str, StageCost)>,
 }
 
 /// Aggregated cost of a single named stage.
@@ -421,10 +421,46 @@ impl CostTracker {
         CostTracker::default()
     }
 
+    /// The slot accumulating `stage`, created on its first charge.
+    ///
+    /// There is one charge per executed eBPF instruction, and a repeat
+    /// charge passes the very same literal, so a slot is found by the
+    /// name's address and length without reading its bytes. Equal names
+    /// at different addresses (one literal in two crates) still share a
+    /// slot: contents are compared when no address matches.
+    fn slot(&mut self, stage: &'static str) -> &mut StageCost {
+        let found = self
+            .stages
+            .iter()
+            .position(|(name, _)| std::ptr::eq(*name, stage))
+            .or_else(|| self.stages.iter().position(|(name, _)| *name == stage));
+        let i = found.unwrap_or_else(|| {
+            if self.stages.capacity() == 0 {
+                // One allocation serves the 5–14 stages a packet's path charges.
+                self.stages.reserve_exact(16);
+            }
+            self.stages.push((stage, StageCost::default()));
+            self.stages.len() - 1
+        });
+        &mut self.stages[i].1
+    }
+
+    fn find(&self, stage: &str) -> Option<&StageCost> {
+        self.stages
+            .iter()
+            .find(|(name, _)| *name == stage)
+            .map(|(_, cost)| cost)
+    }
+
     /// Charges `ns` nanoseconds to `stage`.
+    ///
+    /// Floating-point addition does not associate, so addition order is
+    /// part of the contract: each charge is one `+=` on the total and one
+    /// on its stage's sum, in call order. Every reported virtual-time
+    /// figure is bit-reproducible only because of that.
     pub fn charge(&mut self, stage: &'static str, ns: f64) {
         self.total_ns += ns;
-        let entry = self.stages.entry(stage).or_default();
+        let entry = self.slot(stage);
         entry.count += 1;
         entry.total_ns += ns;
     }
@@ -441,17 +477,19 @@ impl CostTracker {
 
     /// Nanoseconds charged to `stage` (zero if never charged).
     pub fn stage_ns(&self, stage: &str) -> f64 {
-        self.stages.get(stage).map_or(0.0, |s| s.total_ns)
+        self.find(stage).map_or(0.0, |s| s.total_ns)
     }
 
     /// Number of charges recorded for `stage`.
     pub fn stage_count(&self, stage: &str) -> u64 {
-        self.stages.get(stage).map_or(0, |s| s.count)
+        self.find(stage).map_or(0, |s| s.count)
     }
 
     /// Iterates over `(stage, aggregated cost)` in stage-name order.
     pub fn stages(&self) -> impl Iterator<Item = (&'static str, StageCost)> + '_ {
-        self.stages.iter().map(|(k, v)| (*k, *v))
+        let mut sorted = self.stages.clone();
+        sorted.sort_unstable_by_key(|(name, _)| *name);
+        sorted.into_iter()
     }
 
     /// Resets all accumulated costs.
@@ -463,8 +501,8 @@ impl CostTracker {
     /// Merges another tracker's charges into this one.
     pub fn merge(&mut self, other: &CostTracker) {
         self.total_ns += other.total_ns;
-        for (stage, cost) in other.stages.iter() {
-            let entry = self.stages.entry(stage).or_default();
+        for &(stage, cost) in &other.stages {
+            let entry = self.slot(stage);
             entry.count += cost.count;
             entry.total_ns += cost.total_ns;
         }
@@ -474,7 +512,7 @@ impl CostTracker {
 impl fmt::Display for CostTracker {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "total: {:.1} ns", self.total_ns)?;
-        for (stage, cost) in self.stages.iter() {
+        for (stage, cost) in self.stages() {
             writeln!(
                 f,
                 "  {:<28} {:>10.1} ns  (x{})",
@@ -541,6 +579,126 @@ mod tests {
         assert_eq!(a.stage_ns("absent"), 0.0);
         a.reset();
         assert_eq!(a.total_ns(), 0.0);
+    }
+
+    /// The pre-`Vec` tracker, kept as the reference oracle: the same
+    /// `+=` sequence over a name-ordered map.
+    #[derive(Default)]
+    struct MapTracker {
+        total_ns: f64,
+        stages: std::collections::BTreeMap<&'static str, StageCost>,
+    }
+
+    impl MapTracker {
+        fn charge(&mut self, stage: &'static str, ns: f64) {
+            self.total_ns += ns;
+            let entry = self.stages.entry(stage).or_default();
+            entry.count += 1;
+            entry.total_ns += ns;
+        }
+
+        fn merge(&mut self, other: &MapTracker) {
+            self.total_ns += other.total_ns;
+            for (stage, cost) in &other.stages {
+                let entry = self.stages.entry(stage).or_default();
+                entry.count += cost.count;
+                entry.total_ns += cost.total_ns;
+            }
+        }
+
+        fn display(&self) -> String {
+            let mut out = format!("total: {:.1} ns\n", self.total_ns);
+            for (stage, cost) in &self.stages {
+                out += &format!(
+                    "  {:<28} {:>10.1} ns  (x{})\n",
+                    stage, cost.total_ns, cost.count
+                );
+            }
+            out
+        }
+    }
+
+    fn assert_same(tracker: &CostTracker, oracle: &MapTracker) {
+        assert_eq!(tracker.total_ns().to_bits(), oracle.total_ns.to_bits());
+        let got: Vec<_> = tracker.stages().collect();
+        let want: Vec<_> = oracle.stages.iter().map(|(s, c)| (*s, *c)).collect();
+        assert_eq!(got.len(), want.len());
+        for ((gs, gc), (ws, wc)) in got.iter().zip(&want) {
+            // Name order, and sums equal to the last bit.
+            assert_eq!(gs, ws);
+            assert_eq!(gc.count, wc.count);
+            assert_eq!(gc.total_ns.to_bits(), wc.total_ns.to_bits());
+            assert_eq!(tracker.stage_ns(gs).to_bits(), wc.total_ns.to_bits());
+            assert_eq!(tracker.stage_count(gs), wc.count);
+        }
+        assert_eq!(tracker.to_string(), oracle.display());
+    }
+
+    #[test]
+    fn tracker_matches_the_btreemap_oracle_bit_for_bit() {
+        // "ebpf_insn" twice: the literal, and an equal name at another
+        // address, as the same literal in two crates would be.
+        let twin: &'static str = Box::leak(String::from("ebpf_insn").into_boxed_str());
+        assert!(!std::ptr::eq(twin, "ebpf_insn"));
+        // More names than the first reservation, so the slot vector regrows.
+        let names: [&'static str; 19] = [
+            "ebpf_insn",
+            twin,
+            "jit_insn",
+            "helper_fib_lookup",
+            "skb_alloc",
+            "driver_rx",
+            "driver_tx",
+            "xdp_entry",
+            "tc_entry",
+            "ip_rcv",
+            "nf_hook",
+            "qdisc_xmit",
+            "veth_cross",
+            "vxlan_encap",
+            "vxlan_decap",
+            "neigh_lookup",
+            "fib_lookup",
+            "a",
+            "",
+        ];
+        for seed in 0..16 {
+            let mut rng = crate::SimRng::seed(seed);
+            let (mut tracker, mut oracle) = (CostTracker::new(), MapTracker::default());
+            let (mut side, mut side_oracle) = (CostTracker::new(), MapTracker::default());
+            for _ in 0..3000 {
+                // Prices that do not sum exactly in binary, so a changed
+                // addition order would show in the low bits.
+                let ns = rng.uniform_f64() * 300.0 + 0.1;
+                let stage = *rng.choose(&names);
+                match rng.uniform_u64(1000) {
+                    0..=1 => {
+                        tracker.reset();
+                        oracle = MapTracker::default();
+                    }
+                    2..=19 => {
+                        tracker.merge(&side);
+                        oracle.merge(&side_oracle);
+                        side.reset();
+                        side_oracle = MapTracker::default();
+                    }
+                    20..=39 => {
+                        tracker.charge_untracked(ns);
+                        oracle.total_ns += ns;
+                    }
+                    40..=299 => {
+                        side.charge(stage, ns);
+                        side_oracle.charge(stage, ns);
+                    }
+                    _ => {
+                        tracker.charge(stage, ns);
+                        oracle.charge(stage, ns);
+                    }
+                }
+                assert_same(&tracker, &oracle);
+            }
+            assert_same(&side, &side_oracle);
+        }
     }
 
     #[test]

@@ -22,6 +22,13 @@ cargo build --workspace --release --examples --benches
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> benchmark crate: unit tests, then a release build and quick run (oracle byte-equality + ledger on all seven workloads)"
+# No timing gate: --quick numbers are marked not comparable. The run
+# fails on any oracle mismatch or ledger violation.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- run --quick \
+  | grep -E "correct (true|false)|^wrote "
+
 echo "==> bench smoke: batching must not regress (burst 32 <= burst 1)"
 cargo run -q -p linuxfp-bench --bin repro --release -- batch_sweep \
   | awk '
