@@ -254,9 +254,9 @@ pub fn run(
     let mut tail_calls = 0u64;
     let mut helper_calls = 0u64;
 
-    loop {
+    let outcome = loop {
         if executed >= vm::INSN_BUDGET {
-            return vm::fault(
+            break vm::fault(
                 VmError::BudgetExhausted,
                 &m,
                 executed,
@@ -266,7 +266,6 @@ pub fn run(
         }
         let op = cur.compiled().ops()[pc];
         executed += 1;
-        tracker.charge("jit_insn", cost.jit_insn_ns);
         pc += 1;
         match op {
             COp::AluImm { op, dst, imm } => {
@@ -309,7 +308,7 @@ pub fn run(
                 let addr = m.regs[src as usize].wrapping_add(off);
                 match m.read_mem(addr, size) {
                     Ok(v) => m.regs[dst as usize] = v,
-                    Err(e) => return vm::fault(e, &m, executed, tail_calls, helper_calls),
+                    Err(e) => break vm::fault(e, &m, executed, tail_calls, helper_calls),
                 }
             }
             COp::Store {
@@ -321,7 +320,7 @@ pub fn run(
                 let addr = m.regs[dst as usize].wrapping_add(off);
                 let v = m.regs[src as usize];
                 if let Err(e) = m.write_mem(addr, size, v) {
-                    return vm::fault(e, &m, executed, tail_calls, helper_calls);
+                    break vm::fault(e, &m, executed, tail_calls, helper_calls);
                 }
             }
             COp::StoreImm {
@@ -332,13 +331,13 @@ pub fn run(
             } => {
                 let addr = m.regs[dst as usize].wrapping_add(off);
                 if let Err(e) = m.write_mem(addr, size, imm) {
-                    return vm::fault(e, &m, executed, tail_calls, helper_calls);
+                    break vm::fault(e, &m, executed, tail_calls, helper_calls);
                 }
             }
             COp::Call { helper } => {
                 helper_calls += 1;
                 if let Err(e) = vm::call_helper(helper, &mut m, env, maps, cost, tracker) {
-                    return vm::fault(e, &m, executed, tail_calls, helper_calls);
+                    break vm::fault(e, &m, executed, tail_calls, helper_calls);
                 }
             }
             COp::TailCall { prog_array, index } => {
@@ -361,10 +360,14 @@ pub fn run(
                 // Missing slot or depth exceeded: fall through.
             }
             COp::Exit => {
-                return vm::finish(&m, executed, tail_calls, helper_calls);
+                break vm::finish(&m, executed, tail_calls, helper_calls);
             }
         }
-    }
+    };
+    // Counted in the loop, priced here: every exit path pays for exactly
+    // the instructions it executed, tail-called programs included.
+    tracker.charge_n("jit_insn", cost.jit_insn_ns, executed);
+    outcome
 }
 
 #[cfg(test)]
@@ -483,6 +486,87 @@ mod tests {
         assert_eq!(out.tail_calls, 1);
         assert_eq!(tracker.stage_count("tail_call"), 1);
         assert_eq!(tracker.stage_count("jit_insn"), out.insns_executed);
+    }
+
+    /// One input through both engines: instruction counts agree before
+    /// any price is compared, and each engine's stage was charged once per
+    /// executed instruction whichever way the run ended.
+    #[test]
+    fn both_engines_charge_exactly_the_instructions_executed_on_every_exit() {
+        let maps = MapStore::new();
+        let pa = maps.create_prog_array(1);
+        let mut callee = Asm::new();
+        callee.mov_imm(0, Action::Drop.code() as i64);
+        callee.alu_imm(AluOp::Add, 0, 0);
+        callee.exit();
+        maps.prog_array_set(pa, 0, Some(load(callee, "callee")))
+            .unwrap();
+
+        let mut clean = Asm::new();
+        clean.mov_imm(0, Action::Pass.code() as i64);
+        clean.exit();
+        let mut chain = Asm::new();
+        chain.mov_imm(0, Action::Pass.code() as i64);
+        chain.tail_call(pa.0, 0);
+        chain.exit();
+        // The verifier rejects both of these; the engines must still
+        // account for them.
+        let wild_load = Program::new(
+            "wild-load",
+            vec![
+                Insn::AluImm {
+                    op: AluOp::Mov,
+                    dst: 2,
+                    imm: 0,
+                },
+                Insn::Load {
+                    size: MemSize::B,
+                    dst: 0,
+                    src: 2,
+                    off: 0,
+                },
+                Insn::Exit,
+            ],
+        );
+        let spin = Program::new("spin", vec![Insn::Ja { off: -1 }]);
+
+        let cases = [
+            (load(clean, "clean"), None, 2, 0),
+            (load(chain, "chain"), None, 5, 1),
+            (
+                LoadedProgram::load_unverified(wild_load),
+                Some(VmError::BadAccess(0)),
+                2,
+                0,
+            ),
+            (
+                LoadedProgram::load_unverified(spin),
+                Some(VmError::BudgetExhausted),
+                vm::INSN_BUDGET,
+                0,
+            ),
+        ];
+        let cost = CostModel::calibrated();
+        for (prog, error, insns, tail_calls) in cases {
+            let (mut t_i, mut t_c) = (CostTracker::new(), CostTracker::new());
+            let (mut pkt_i, mut pkt_c) = (vec![0u8; 64], vec![0u8; 64]);
+            let ctx = VmCtx::xdp(&mut pkt_i, 1, 0);
+            let out_i = vm::run(&prog, ctx, &mut NullEnv, &maps, &cost, &mut t_i);
+            let ctx = VmCtx::xdp(&mut pkt_c, 1, 0);
+            let out_c = run(&prog, ctx, &mut NullEnv, &maps, &cost, &mut t_c);
+            assert_eq!(out_i, out_c, "{prog:?}");
+            assert_eq!(out_c.error, error, "{prog:?}");
+            assert_eq!(out_c.insns_executed, insns, "{prog:?}");
+            assert_eq!(out_c.tail_calls, tail_calls, "{prog:?}");
+            assert_eq!(t_i.stage_count("ebpf_insn"), insns, "{prog:?}");
+            assert_eq!(t_c.stage_count("jit_insn"), insns, "{prog:?}");
+            assert_eq!(t_i.stage_count("jit_insn"), 0);
+            assert_eq!(t_c.stage_count("ebpf_insn"), 0);
+            assert_eq!(t_i.stage_ns("ebpf_insn"), insns as f64 * cost.ebpf_insn_ns);
+            assert_eq!(t_c.stage_ns("jit_insn"), insns as f64 * cost.jit_insn_ns);
+            assert_eq!(t_i.stage_count("tail_call"), tail_calls);
+            assert_eq!(t_c.stage_count("tail_call"), tail_calls);
+        }
     }
 
     #[test]

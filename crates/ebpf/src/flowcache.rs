@@ -260,9 +260,8 @@ pub fn replay_touches(touches: &[HelperTouch], kernel: &mut Kernel) {
             }
             HelperTouch::Ipt { ref meta } => {
                 // The rule walk's virtual cost is covered by the flat hit
-                // price; a throwaway tracker absorbs the helper's charge.
-                let mut throwaway = CostTracker::new();
-                let _ = kernel.env_ipt_lookup(meta, &mut throwaway);
+                // price: walk (it counts as an evaluation), price nothing.
+                let _ = kernel.helper_ipt_walk(meta);
             }
             HelperTouch::Ct {
                 src,

@@ -58,6 +58,17 @@ impl LoadedProgram {
     /// verifier rejects a `BPF_PROG_LOAD`.
     pub fn load(program: Program) -> Result<Self, VerifyError> {
         verifier::verify(&program.insns)?;
+        Ok(Self::assemble(program))
+    }
+
+    /// A program the verifier would reject, for driving the engines'
+    /// defense-in-depth exits (faults, the instruction budget).
+    #[cfg(test)]
+    pub(crate) fn load_unverified(program: Program) -> Self {
+        Self::assemble(program)
+    }
+
+    fn assemble(program: Program) -> Self {
         let cacheable = program.insns.iter().all(|i| match i {
             Insn::Call { helper } => helper_is_cacheable(*helper),
             _ => true,
@@ -66,11 +77,11 @@ impl LoadedProgram {
         // right after verification: attach/swap never pays compile cost
         // on the datapath, and an uncompiled loaded program cannot exist.
         let compiled = Arc::new(CompiledProgram::compile(&program.insns));
-        Ok(LoadedProgram {
+        LoadedProgram {
             inner: Arc::new(program),
             cacheable,
             compiled,
-        })
+        }
     }
 
     /// The load-time-compiled (direct-threaded) form of this program.

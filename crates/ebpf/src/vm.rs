@@ -277,9 +277,9 @@ pub fn run(
     let mut tail_calls = 0u64;
     let mut helper_calls = 0u64;
 
-    loop {
+    let outcome = loop {
         if executed >= INSN_BUDGET {
-            return fault(
+            break fault(
                 VmError::BudgetExhausted,
                 &m,
                 executed,
@@ -289,7 +289,6 @@ pub fn run(
         }
         let insn = cur.insns()[pc];
         executed += 1;
-        tracker.charge("ebpf_insn", cost.ebpf_insn_ns);
         pc += 1;
         match insn {
             Insn::AluImm { op, dst, imm } => {
@@ -332,7 +331,7 @@ pub fn run(
                 let addr = m.regs[src as usize].wrapping_add(off as i64 as u64);
                 match m.read_mem(addr, size) {
                     Ok(v) => m.regs[dst as usize] = v,
-                    Err(e) => return fault(e, &m, executed, tail_calls, helper_calls),
+                    Err(e) => break fault(e, &m, executed, tail_calls, helper_calls),
                 }
             }
             Insn::Store {
@@ -344,7 +343,7 @@ pub fn run(
                 let addr = m.regs[dst as usize].wrapping_add(off as i64 as u64);
                 let v = m.regs[src as usize];
                 if let Err(e) = m.write_mem(addr, size, v) {
-                    return fault(e, &m, executed, tail_calls, helper_calls);
+                    break fault(e, &m, executed, tail_calls, helper_calls);
                 }
             }
             Insn::StoreImm {
@@ -355,13 +354,13 @@ pub fn run(
             } => {
                 let addr = m.regs[dst as usize].wrapping_add(off as i64 as u64);
                 if let Err(e) = m.write_mem(addr, size, imm as u64) {
-                    return fault(e, &m, executed, tail_calls, helper_calls);
+                    break fault(e, &m, executed, tail_calls, helper_calls);
                 }
             }
             Insn::Call { helper } => {
                 helper_calls += 1;
                 if let Err(e) = call_helper(helper, &mut m, env, maps, cost, tracker) {
-                    return fault(e, &m, executed, tail_calls, helper_calls);
+                    break fault(e, &m, executed, tail_calls, helper_calls);
                 }
             }
             Insn::TailCall { prog_array, index } => {
@@ -384,10 +383,14 @@ pub fn run(
                 // Missing slot or depth exceeded: fall through.
             }
             Insn::Exit => {
-                return finish(&m, executed, tail_calls, helper_calls);
+                break finish(&m, executed, tail_calls, helper_calls);
             }
         }
-    }
+    };
+    // Counted in the loop, priced here: every exit path pays for exactly
+    // the instructions it executed, tail-called programs included.
+    tracker.charge_n("ebpf_insn", cost.ebpf_insn_ns, executed);
+    outcome
 }
 
 /// Runs one program over a whole burst of frames.

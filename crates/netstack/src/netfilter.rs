@@ -152,6 +152,17 @@ pub enum NfVerdict {
     Drop,
 }
 
+/// One chain traversal: its verdict and the work it did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChainWalk {
+    /// Final verdict (the chain's policy when no rule terminated).
+    pub verdict: NfVerdict,
+    /// Rules compared, user chains included.
+    pub rules: u64,
+    /// ipsets probed.
+    pub sets: u64,
+}
+
 /// A chain: ordered rules plus a policy for fall-through.
 #[derive(Debug, Clone)]
 pub struct Chain {
@@ -475,24 +486,38 @@ impl Netfilter {
         tracker: &mut CostTracker,
         rule_ns: f64,
     ) -> NfVerdict {
+        // The walk counts, this prices: one charge per stage per traversal.
+        let walk = self.walk(hook, meta);
+        tracker.charge_n("nf_rule_match", rule_ns, walk.rules);
+        tracker.charge_n("ipset_lookup", cost.ipset_lookup_ns, walk.sets);
+        walk.verdict
+    }
+
+    /// Traverses the chain at `hook` charging nothing: the verdict plus
+    /// the work done, for the caller to price (or, replaying a cached
+    /// flow's helper calls, to discard). Counts as one evaluation.
+    pub fn walk(&self, hook: ChainHook, meta: &PacketMeta) -> ChainWalk {
         if let Some(c) = &self.evaluations {
             c.inc();
         }
         let chain = &self.builtin[&hook];
-        match self.eval_chain(chain, meta, cost, tracker, 0, rule_ns) {
-            Some(v) => v,
-            None => chain.policy,
+        let mut walk = ChainWalk {
+            verdict: chain.policy,
+            rules: 0,
+            sets: 0,
+        };
+        if let Some(v) = self.eval_chain(chain, meta, 0, &mut walk) {
+            walk.verdict = v;
         }
+        walk
     }
 
     fn eval_chain(
         &self,
         chain: &Chain,
         meta: &PacketMeta,
-        cost: &CostModel,
-        tracker: &mut CostTracker,
         depth: usize,
-        rule_ns: f64,
+        walk: &mut ChainWalk,
     ) -> Option<NfVerdict> {
         if depth > 16 {
             // Linux prevents chain loops at rule-insertion time; we bound
@@ -500,8 +525,8 @@ impl Netfilter {
             return Some(NfVerdict::Drop);
         }
         for rule in &chain.rules {
-            tracker.charge("nf_rule_match", rule_ns);
-            if !self.rule_matches(rule, meta, cost, tracker) {
+            walk.rules += 1;
+            if !self.rule_matches(rule, meta, &mut walk.sets) {
                 continue;
             }
             match rule.target() {
@@ -510,9 +535,7 @@ impl Netfilter {
                 RuleTarget::Return => return None,
                 RuleTarget::Jump(name) => {
                     if let Some(sub) = self.user_chains.get(name) {
-                        if let Some(v) =
-                            self.eval_chain(sub, meta, cost, tracker, depth + 1, rule_ns)
-                        {
+                        if let Some(v) = self.eval_chain(sub, meta, depth + 1, walk) {
                             return Some(v);
                         }
                     }
@@ -522,13 +545,9 @@ impl Netfilter {
         None
     }
 
-    fn rule_matches(
-        &self,
-        rule: &IptRule,
-        meta: &PacketMeta,
-        cost: &CostModel,
-        tracker: &mut CostTracker,
-    ) -> bool {
+    /// Whether `rule` matches; bumps `sets_probed` when it gets as far as
+    /// its ipset match.
+    fn rule_matches(&self, rule: &IptRule, meta: &PacketMeta, sets_probed: &mut u64) -> bool {
         if let Some(p) = &rule.src {
             if !p.contains(meta.src) {
                 return false;
@@ -565,7 +584,7 @@ impl Netfilter {
             }
         }
         if let Some((name, dir)) = &rule.set_match {
-            tracker.charge("ipset_lookup", cost.ipset_lookup_ns);
+            *sets_probed += 1;
             let addr = match dir {
                 SetDir::Src => meta.src,
                 SetDir::Dst => meta.dst,
@@ -669,6 +688,94 @@ mod tests {
         assert_eq!(t.stage_count("ipset_lookup"), 1);
         let (v, _) = eval(&nf, ChainHook::Forward, &meta([8, 8, 8, 8]));
         assert_eq!(v, NfVerdict::Accept);
+    }
+
+    /// Every entry point prices exactly the work its walk did: rules
+    /// visited and sets probed, through early exits, user chains and the
+    /// recursion guard.
+    #[test]
+    fn charges_equal_rules_visited_and_sets_probed() {
+        let to = |dst: &str, target| IptRule {
+            dst: Some(dst.parse().unwrap()),
+            target: RuleTargetField(target),
+            ..IptRule::default()
+        };
+        let jump = |chain: &str| RuleTarget::Jump(chain.into());
+        let mut nf = Netfilter::new();
+        let evaluations = Counter::new();
+        nf.set_evaluation_counter(evaluations.clone());
+        let mut set = IpSet::new_hash_net();
+        set.add("192.168.0.0/16".parse().unwrap());
+        nf.set_create("bl", set);
+        nf.new_chain("USER");
+        nf.append_user("USER", to("10.1.0.0/16", RuleTarget::Return));
+        nf.append_user("USER", to("10.2.0.0/16", RuleTarget::Drop));
+        nf.new_chain("LOOP");
+        nf.append_user("LOOP", to("0.0.0.0/0", jump("LOOP")));
+        nf.append(ChainHook::Forward, to("10.9.0.0/16", RuleTarget::Accept));
+        nf.append(ChainHook::Forward, to("0.0.0.0/0", jump("USER")));
+        nf.append(ChainHook::Forward, IptRule::drop_dst_set("bl"));
+        nf.append(ChainHook::Forward, to("172.16.0.0/12", jump("LOOP")));
+        let mut kernel = crate::stack::Kernel::new(1);
+        kernel.netfilter = nf.clone();
+
+        use NfVerdict::{Accept, Drop};
+        let cases = [
+            ([10, 9, 1, 1], Accept, 1, 0),      // first rule accepts
+            ([10, 1, 1, 1], Accept, 5, 1),      // USER returns, FORWARD goes on
+            ([10, 2, 1, 1], Drop, 4, 0),        // dropped inside USER
+            ([192, 168, 7, 7], Drop, 5, 1),     // set member
+            ([172, 16, 0, 1], Drop, 6 + 16, 1), // LOOP to the depth-16 guard
+        ];
+        let cost = CostModel::calibrated();
+        for (dst, verdict, rules, sets) in cases {
+            let m = meta(dst);
+            let walk = ChainWalk {
+                verdict,
+                rules,
+                sets,
+            };
+            assert_eq!(nf.walk(ChainHook::Forward, &m), walk, "{dst:?}");
+            let counts = |t: &CostTracker| {
+                (
+                    t.stage_count("nf_rule_match"),
+                    t.stage_count("ipset_lookup"),
+                )
+            };
+
+            let (v, plain) = eval(&nf, ChainHook::Forward, &m);
+            let slow_ns = cost.nf_hook_base_ns
+                + rules as f64 * cost.nf_rule_linear_ns
+                + sets as f64 * cost.ipset_lookup_ns;
+            assert_eq!((v, counts(&plain)), (verdict, (rules, sets)), "{dst:?}");
+            assert_eq!(plain.total_ns(), slow_ns);
+
+            // Traced: the same charges, after some earlier ones, and the
+            // event carries the traversal's own share.
+            let mut traced = CostTracker::new();
+            traced.charge("skb_alloc", cost.skb_alloc_ns);
+            let mut trace = TraceCtx::begin(0, 1, 0);
+            let v = nf.evaluate_traced(ChainHook::Forward, &m, &cost, &mut traced, &mut trace);
+            assert_eq!((v, counts(&traced)), (verdict, (rules, sets)), "{dst:?}");
+            let span = trace.finish(&traced, linuxfp_telemetry::trace::Disposition::Queued);
+            match span.events[..] {
+                [TraceEvent::Netfilter { chain, ns, .. }] => {
+                    assert_eq!((chain, ns), ("FORWARD", slow_ns));
+                }
+                ref other => panic!("expected one netfilter event, got {other:?}"),
+            }
+
+            let mut helper = CostTracker::new();
+            let v = kernel.helper_ipt_lookup(&m, &mut helper);
+            assert_eq!((v, counts(&helper)), (verdict, (rules, sets)), "{dst:?}");
+            assert_eq!(
+                helper.total_ns(),
+                rules as f64 * cost.helper_ipt_rule_ns + sets as f64 * cost.ipset_lookup_ns
+            );
+        }
+        // walk, evaluate, evaluate_traced and the helper (the kernel's
+        // clone of the table shares the counter) each count once per case.
+        assert_eq!(evaluations.get(), 4 * cases.len() as u64);
     }
 
     #[test]

@@ -14,6 +14,9 @@ use super::*;
 /// never processing order or verdicts.
 #[derive(Default)]
 pub(super) struct BatchAmort {
+    /// The shard whose slice of the burst this amortizes — the injected
+    /// frame's RSS steering, computed once by [`Kernel::inject_batch`].
+    shard: u32,
     pub(super) batch_cost: CostTracker,
     rx_charged: bool,
     xdp_charged: bool,
@@ -59,7 +62,12 @@ impl Kernel {
         // With rss_shards=1 this is a single amortizer and the loop is
         // bit-identical to the pre-sharding path.
         let shards = self.rss_shards.max(1) as usize;
-        let mut amorts: Vec<BatchAmort> = (0..shards).map(|_| BatchAmort::default()).collect();
+        let mut amorts: Vec<BatchAmort> = (0..shards as u32)
+            .map(|shard| BatchAmort {
+                shard,
+                ..BatchAmort::default()
+            })
+            .collect();
         let mut shard_ns = vec![0.0f64; shards];
         let mut outcomes = Vec::with_capacity(n);
         for buf in batch.drain() {
@@ -133,11 +141,12 @@ impl Kernel {
                 out.trace = ctx;
             }
         }
+        // The injected frame goes first and never enters the queue, which
+        // therefore allocates only once something is re-queued.
         let mut queue: VecDeque<(IfIndex, PacketBuf)> = VecDeque::new();
-        queue.push_back((dev, frame));
+        let mut injected = Some((dev, frame));
         let mut hops = 0;
-        let mut injected = true;
-        while let Some((dev, frame)) = queue.pop_front() {
+        while let Some((dev, frame)) = injected.take().or_else(|| queue.pop_front()) {
             hops += 1;
             if hops > 64 {
                 self.drop(out, DropReason::ForwardingLoop);
@@ -145,10 +154,8 @@ impl Kernel {
             }
             // Only the injected frame itself belongs to the burst;
             // anything re-queued is a fresh arrival at another device
-            // and pays full single-packet prices.
-            let pass = if injected { amort.as_deref_mut() } else { None };
-            injected = false;
-            self.receive_one(dev, frame, out, &mut queue, pass);
+            // and pays full single-packet prices: `take` leaves `None`.
+            self.receive_one(dev, frame, out, &mut queue, amort.take());
         }
         self.finish_trace(out);
     }
@@ -258,7 +265,11 @@ impl Kernel {
         // Skipped entirely at rss_shards=1 — bit-identical to the
         // unsharded path.
         if self.rss_shards > 1 {
-            let shard = rss::shard_for(&pkt.data, self.rss_shards);
+            // A burst's frames were steered when they were sliced by shard.
+            let shard = match amort.as_deref() {
+                Some(a) => a.shard,
+                None => rss::shard_for(&pkt.data, self.rss_shards),
+            };
             pkt.rx_queue = shard;
             self.current_shard = shard;
             out.trace.set_shard(shard);

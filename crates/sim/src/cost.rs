@@ -386,6 +386,14 @@ impl Default for CostModel {
 /// of the slow path (paper Fig. 1): each kernel stage charges under its own
 /// label, and the profile reports where the time went.
 ///
+/// Sums are integer femtoseconds in a `u64`. Each charged price is
+/// converted once, rounded to the nearest femtosecond (10⁻⁶ ns), so sums
+/// commute and associate: any order or batching of the same charges
+/// (`n` calls of [`charge`](Self::charge) or one
+/// [`charge_n`](Self::charge_n)) reads back bit-identical. One tracker
+/// holds 2⁶⁴ fs ≈ 5.1 h of virtual time — the largest in the tree is one
+/// controller reaction, ≈ 1.05 s — and panics rather than wrap past it.
+///
 /// # Example
 ///
 /// ```
@@ -401,9 +409,16 @@ impl Default for CostModel {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CostTracker {
-    total_ns: f64,
+    total_fs: u64,
     /// One slot per distinct stage name, in first-charge order.
-    stages: Vec<(&'static str, StageCost)>,
+    stages: Vec<(&'static str, Slot)>,
+}
+
+/// One stage's charge count and femtosecond sum.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    count: u64,
+    fs: u64,
 }
 
 /// Aggregated cost of a single named stage.
@@ -415,6 +430,20 @@ pub struct StageCost {
     pub total_ns: f64,
 }
 
+const FS_PER_NS: f64 = 1e6;
+const OVERFLOW: &str = "CostTracker holds at most 2^64 fs (5.1 h) of virtual time";
+
+/// A price in femtoseconds, to nearest. `+ 0.5` then truncate, not
+/// `round()`: a libcall per charge shows on the cache-hit path.
+fn to_fs(ns: f64) -> u64 {
+    debug_assert!(ns >= 0.0 && ns.is_finite(), "charged {ns} ns");
+    (ns * FS_PER_NS + 0.5) as u64
+}
+
+fn to_ns(fs: u64) -> f64 {
+    fs as f64 / FS_PER_NS
+}
+
 impl CostTracker {
     /// Creates an empty tracker.
     pub fn new() -> Self {
@@ -423,12 +452,12 @@ impl CostTracker {
 
     /// The slot accumulating `stage`, created on its first charge.
     ///
-    /// There is one charge per executed eBPF instruction, and a repeat
+    /// A cache hit still makes about five charges per packet, and a repeat
     /// charge passes the very same literal, so a slot is found by the
     /// name's address and length without reading its bytes. Equal names
     /// at different addresses (one literal in two crates) still share a
     /// slot: contents are compared when no address matches.
-    fn slot(&mut self, stage: &'static str) -> &mut StageCost {
+    fn slot(&mut self, stage: &'static str) -> &mut Slot {
         let found = self
             .stages
             .iter()
@@ -439,45 +468,62 @@ impl CostTracker {
                 // One allocation serves the 5–14 stages a packet's path charges.
                 self.stages.reserve_exact(16);
             }
-            self.stages.push((stage, StageCost::default()));
+            self.stages.push((stage, Slot::default()));
             self.stages.len() - 1
         });
         &mut self.stages[i].1
     }
 
-    fn find(&self, stage: &str) -> Option<&StageCost> {
+    fn find(&self, stage: &str) -> Option<&Slot> {
         self.stages
             .iter()
             .find(|(name, _)| *name == stage)
-            .map(|(_, cost)| cost)
+            .map(|(_, slot)| slot)
+    }
+
+    /// Advances the total — the one addition that can overflow, since no
+    /// stage's sum ever exceeds it.
+    fn add_total(&mut self, fs: u64) {
+        self.total_fs = self.total_fs.checked_add(fs).expect(OVERFLOW);
+    }
+
+    /// Adds `count` charges worth `fs` in all to `stage`'s slot.
+    fn add_stage(&mut self, stage: &'static str, count: u64, fs: u64) {
+        let slot = self.slot(stage);
+        slot.count += count;
+        slot.fs += fs;
     }
 
     /// Charges `ns` nanoseconds to `stage`.
-    ///
-    /// Floating-point addition does not associate, so addition order is
-    /// part of the contract: each charge is one `+=` on the total and one
-    /// on its stage's sum, in call order. Every reported virtual-time
-    /// figure is bit-reproducible only because of that.
     pub fn charge(&mut self, stage: &'static str, ns: f64) {
-        self.total_ns += ns;
-        let entry = self.slot(stage);
-        entry.count += 1;
-        entry.total_ns += ns;
+        self.charge_n(stage, ns, 1);
+    }
+
+    /// Charges `ns` nanoseconds to `stage` `n` times over — what a loop
+    /// that counts its work charges once at its exit. Identical, count
+    /// included, to `n` calls of [`charge`](Self::charge); nothing at all
+    /// when `n` is zero.
+    pub fn charge_n(&mut self, stage: &'static str, ns: f64, n: u64) {
+        if n > 0 {
+            let fs = to_fs(ns).checked_mul(n).expect(OVERFLOW);
+            self.add_total(fs);
+            self.add_stage(stage, n, fs);
+        }
     }
 
     /// Charges `ns` nanoseconds without stage attribution.
     pub fn charge_untracked(&mut self, ns: f64) {
-        self.total_ns += ns;
+        self.add_total(to_fs(ns));
     }
 
     /// Total nanoseconds charged so far.
     pub fn total_ns(&self) -> f64 {
-        self.total_ns
+        to_ns(self.total_fs)
     }
 
     /// Nanoseconds charged to `stage` (zero if never charged).
     pub fn stage_ns(&self, stage: &str) -> f64 {
-        self.find(stage).map_or(0.0, |s| s.total_ns)
+        self.find(stage).map_or(0.0, |s| to_ns(s.fs))
     }
 
     /// Number of charges recorded for `stage`.
@@ -487,31 +533,36 @@ impl CostTracker {
 
     /// Iterates over `(stage, aggregated cost)` in stage-name order.
     pub fn stages(&self) -> impl Iterator<Item = (&'static str, StageCost)> + '_ {
-        let mut sorted = self.stages.clone();
+        let mut sorted: Vec<_> = self
+            .stages
+            .iter()
+            .map(|&(name, Slot { count, fs })| {
+                let total_ns = to_ns(fs);
+                (name, StageCost { count, total_ns })
+            })
+            .collect();
         sorted.sort_unstable_by_key(|(name, _)| *name);
         sorted.into_iter()
     }
 
     /// Resets all accumulated costs.
     pub fn reset(&mut self) {
-        self.total_ns = 0.0;
+        self.total_fs = 0;
         self.stages.clear();
     }
 
     /// Merges another tracker's charges into this one.
     pub fn merge(&mut self, other: &CostTracker) {
-        self.total_ns += other.total_ns;
-        for &(stage, cost) in &other.stages {
-            let entry = self.slot(stage);
-            entry.count += cost.count;
-            entry.total_ns += cost.total_ns;
+        self.add_total(other.total_fs);
+        for &(stage, Slot { count, fs }) in &other.stages {
+            self.add_stage(stage, count, fs);
         }
     }
 }
 
 impl fmt::Display for CostTracker {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "total: {:.1} ns", self.total_ns)?;
+        writeln!(f, "total: {:.1} ns", self.total_ns())?;
         for (stage, cost) in self.stages() {
             writeln!(
                 f,
@@ -581,37 +632,39 @@ mod tests {
         assert_eq!(a.total_ns(), 0.0);
     }
 
-    /// The pre-`Vec` tracker, kept as the reference oracle: the same
-    /// `+=` sequence over a name-ordered map.
+    /// The pre-`Vec` tracker, kept as the integer-sum reference: the same
+    /// femtosecond sums over a name-ordered map.
     #[derive(Default)]
     struct MapTracker {
-        total_ns: f64,
-        stages: std::collections::BTreeMap<&'static str, StageCost>,
+        total_fs: u64,
+        stages: std::collections::BTreeMap<&'static str, Slot>,
     }
 
     impl MapTracker {
         fn charge(&mut self, stage: &'static str, ns: f64) {
-            self.total_ns += ns;
+            self.total_fs += to_fs(ns);
             let entry = self.stages.entry(stage).or_default();
             entry.count += 1;
-            entry.total_ns += ns;
+            entry.fs += to_fs(ns);
         }
 
         fn merge(&mut self, other: &MapTracker) {
-            self.total_ns += other.total_ns;
-            for (stage, cost) in &other.stages {
+            self.total_fs += other.total_fs;
+            for (stage, slot) in &other.stages {
                 let entry = self.stages.entry(stage).or_default();
-                entry.count += cost.count;
-                entry.total_ns += cost.total_ns;
+                entry.count += slot.count;
+                entry.fs += slot.fs;
             }
         }
 
         fn display(&self) -> String {
-            let mut out = format!("total: {:.1} ns\n", self.total_ns);
-            for (stage, cost) in &self.stages {
+            let mut out = format!("total: {:.1} ns\n", to_ns(self.total_fs));
+            for (stage, slot) in &self.stages {
                 out += &format!(
                     "  {:<28} {:>10.1} ns  (x{})\n",
-                    stage, cost.total_ns, cost.count
+                    stage,
+                    to_ns(slot.fs),
+                    slot.count
                 );
             }
             out
@@ -619,29 +672,31 @@ mod tests {
     }
 
     fn assert_same(tracker: &CostTracker, oracle: &MapTracker) {
-        assert_eq!(tracker.total_ns().to_bits(), oracle.total_ns.to_bits());
+        assert_eq!(tracker.total_fs, oracle.total_fs);
+        assert_eq!(
+            tracker.total_ns().to_bits(),
+            to_ns(oracle.total_fs).to_bits()
+        );
         let got: Vec<_> = tracker.stages().collect();
-        let want: Vec<_> = oracle.stages.iter().map(|(s, c)| (*s, *c)).collect();
-        assert_eq!(got.len(), want.len());
-        for ((gs, gc), (ws, wc)) in got.iter().zip(&want) {
-            // Name order, and sums equal to the last bit.
+        assert_eq!(got.len(), oracle.stages.len());
+        for ((gs, gc), (ws, wc)) in got.iter().zip(&oracle.stages) {
+            // Name order, and the same integer sums.
             assert_eq!(gs, ws);
             assert_eq!(gc.count, wc.count);
-            assert_eq!(gc.total_ns.to_bits(), wc.total_ns.to_bits());
-            assert_eq!(tracker.stage_ns(gs).to_bits(), wc.total_ns.to_bits());
+            assert_eq!(gc.total_ns.to_bits(), to_ns(wc.fs).to_bits());
+            assert_eq!(tracker.stage_ns(gs).to_bits(), to_ns(wc.fs).to_bits());
             assert_eq!(tracker.stage_count(gs), wc.count);
         }
         assert_eq!(tracker.to_string(), oracle.display());
     }
 
-    #[test]
-    fn tracker_matches_the_btreemap_oracle_bit_for_bit() {
-        // "ebpf_insn" twice: the literal, and an equal name at another
-        // address, as the same literal in two crates would be.
+    /// More names than the first reservation, so the slot vector regrows;
+    /// "ebpf_insn" twice: the literal, and an equal name at another
+    /// address, as the same literal in two crates would be.
+    fn stage_names() -> [&'static str; 19] {
         let twin: &'static str = Box::leak(String::from("ebpf_insn").into_boxed_str());
         assert!(!std::ptr::eq(twin, "ebpf_insn"));
-        // More names than the first reservation, so the slot vector regrows.
-        let names: [&'static str; 19] = [
+        [
             "ebpf_insn",
             twin,
             "jit_insn",
@@ -661,14 +716,19 @@ mod tests {
             "fib_lookup",
             "a",
             "",
-        ];
+        ]
+    }
+
+    #[test]
+    fn tracker_matches_the_btreemap_oracle() {
+        let names = stage_names();
         for seed in 0..16 {
             let mut rng = crate::SimRng::seed(seed);
             let (mut tracker, mut oracle) = (CostTracker::new(), MapTracker::default());
             let (mut side, mut side_oracle) = (CostTracker::new(), MapTracker::default());
             for _ in 0..3000 {
-                // Prices that do not sum exactly in binary, so a changed
-                // addition order would show in the low bits.
+                // Prices that are not whole femtoseconds, so rounding is
+                // exercised on every charge.
                 let ns = rng.uniform_f64() * 300.0 + 0.1;
                 let stage = *rng.choose(&names);
                 match rng.uniform_u64(1000) {
@@ -684,7 +744,7 @@ mod tests {
                     }
                     20..=39 => {
                         tracker.charge_untracked(ns);
-                        oracle.total_ns += ns;
+                        oracle.total_fs += to_fs(ns);
                     }
                     40..=299 => {
                         side.charge(stage, ns);
@@ -699,6 +759,97 @@ mod tests {
             }
             assert_same(&side, &side_oracle);
         }
+    }
+
+    #[derive(Clone)]
+    enum Op {
+        Charge(&'static str, f64),
+        ChargeN(&'static str, f64, u64),
+        Untracked(f64),
+        Merge(CostTracker),
+    }
+
+    fn apply(ops: &[Op]) -> CostTracker {
+        let mut t = CostTracker::new();
+        for op in ops {
+            match op {
+                Op::Charge(stage, ns) => t.charge(stage, *ns),
+                Op::ChargeN(stage, ns, n) => t.charge_n(stage, *ns, *n),
+                Op::Untracked(ns) => t.charge_untracked(*ns),
+                Op::Merge(other) => t.merge(other),
+            }
+        }
+        t
+    }
+
+    fn assert_bit_identical(a: &CostTracker, b: &CostTracker) {
+        assert_eq!(a.total_ns().to_bits(), b.total_ns().to_bits());
+        let (a, b): (Vec<_>, Vec<_>) = (a.stages().collect(), b.stages().collect());
+        assert_eq!(a.len(), b.len());
+        for ((an, ac), (bn, bc)) in a.iter().zip(&b) {
+            assert_eq!((an, ac.count), (bn, bc.count));
+            assert_eq!(ac.total_ns.to_bits(), bc.total_ns.to_bits());
+        }
+    }
+
+    #[test]
+    fn any_order_of_the_same_charges_reads_back_bit_identical() {
+        let names = stage_names();
+        for seed in 0..32 {
+            let mut rng = crate::SimRng::seed(seed);
+            let price = |rng: &mut crate::SimRng| rng.uniform_f64() * 300.0 + 0.1;
+            let mut ops = Vec::new();
+            for _ in 0..400 {
+                let stage = *rng.choose(&names);
+                ops.push(match rng.uniform_u64(10) {
+                    0 => {
+                        let mut side = CostTracker::new();
+                        for _ in 0..rng.uniform_u64(6) {
+                            let stage = *rng.choose(&names);
+                            side.charge(stage, price(&mut rng));
+                        }
+                        Op::Merge(side)
+                    }
+                    1 => Op::Untracked(price(&mut rng)),
+                    2..=4 => Op::ChargeN(stage, price(&mut rng), rng.uniform_u64(200)),
+                    _ => Op::Charge(stage, price(&mut rng)),
+                });
+            }
+            let reference = apply(&ops);
+            for _ in 0..8 {
+                // Fisher–Yates.
+                for i in (1..ops.len()).rev() {
+                    ops.swap(i, rng.uniform_u64(i as u64 + 1) as usize);
+                }
+                assert_bit_identical(&apply(&ops), &reference);
+            }
+            // One charge_n is its n single charges, count included.
+            let unrolled: Vec<Op> = ops
+                .iter()
+                .flat_map(|op| match *op {
+                    Op::ChargeN(stage, ns, n) => vec![Op::Charge(stage, ns); n as usize],
+                    ref other => vec![other.clone()],
+                })
+                .collect();
+            assert_bit_identical(&apply(&unrolled), &reference);
+        }
+    }
+
+    #[test]
+    fn charge_n_of_zero_creates_no_stage() {
+        let mut t = CostTracker::new();
+        t.charge_n("nf_rule_match", 22.0, 0);
+        assert_eq!(t.stages().count(), 0);
+        assert_eq!(t.total_ns(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "5.1 h")]
+    fn overflow_panics_instead_of_wrapping() {
+        // 2 × 10 000 s of virtual time: each half fits, the sum does not.
+        let mut t = CostTracker::new();
+        t.charge_n("compile", 1e9, 10_000);
+        t.charge_n("compile", 1e9, 10_000);
     }
 
     #[test]
