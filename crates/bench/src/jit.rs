@@ -8,8 +8,8 @@
 //! bracket when that price matters:
 //!
 //! - a steady single flow is served by the microflow verdict cache in
-//!   both modes after one recorded miss, so the engines tie — the cache
-//!   hides the interpreter;
+//!   both modes after two misses (the second recorded), so the engines
+//!   tie — the cache hides the interpreter;
 //! - churn-heavy traffic (a route replaced before every burst) defeats
 //!   the cache, so *every* packet pays full program execution and the
 //!   compiled engine's cheaper dispatch shows up directly. This is the

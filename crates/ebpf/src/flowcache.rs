@@ -7,15 +7,23 @@
 //! verdict that has not changed. This module caches it, OVS-microflow
 //! style, as **derived state with explicit invalidation**:
 //!
-//! * On a cache **miss** the dispatcher runs the program normally while a
-//!   [`RecordingEnv`] captures every helper call. Afterwards the net
-//!   packet transformation is recovered by diffing the frame
-//!   ([`linuxfp_packet::rewrite::derive_ops`]) and the `(flow key →
-//!   verdict, rewrite ops, helper touches)` entry is stored — but only if
-//!   the recording passes every gate: the program's static cacheability
-//!   contract, a replayable diff, a cacheable verdict, and a measured
-//!   interpretation cost above the hit price (caching must never
-//!   decelerate).
+//! * A flow is **recorded on its second sighting, not its first.** The
+//!   first miss of a flow under the current coherence generation only
+//!   places a key-only *placeholder* node and runs the program unrecorded,
+//!   exactly as with the cache off. A later miss that finds its
+//!   placeholder runs the program while a [`RecordingEnv`] captures every
+//!   helper call; afterwards the net packet transformation is recovered by
+//!   diffing the frame ([`linuxfp_packet::rewrite::derive_ops`]) and the
+//!   `(flow key → verdict, rewrite ops, helper touches)` entry fills the
+//!   placeholder in place — but only if the recording passes every gate:
+//!   the program's static cacheability contract, a replayable diff, a
+//!   cacheable verdict, and a measured interpretation cost above the hit
+//!   price (caching must never decelerate). A flow seen once before the
+//!   next flush or eviction — a scan, or any flow on a cache that is
+//!   flushed every burst — therefore costs no frame copy, no helper log
+//!   and no entry, and a placeholder evicted before its flow returns
+//!   leaves the recorded entries of the working set alone (scan
+//!   resistance).
 //! * On a **hit** the recorded rewrite ops are applied directly and the
 //!   helper touches are **replayed** against the live kernel, so every
 //!   side effect interpretation would have had — FDB/NAT timestamp
@@ -30,6 +38,10 @@
 //!   mismatch. There is no per-entry dependency tracking and no shadow
 //!   state to reconcile — the cache can always be dropped and rebuilt
 //!   from a miss.
+//! * **The cache never loses to cache-off** in virtual time: recording
+//!   charges nothing, and a first-sighting miss runs exactly the program
+//!   the cache-off path runs, so it is charged exactly the cache-off
+//!   virtual time.
 //!
 //! [`flowcache_hit_ns`]: linuxfp_sim::CostModel::flowcache_hit_ns
 //! [`state_generation`]: linuxfp_netstack::stack::Kernel::state_generation
@@ -45,6 +57,7 @@ use linuxfp_packet::rewrite::RewriteOp;
 use linuxfp_packet::MacAddr;
 use linuxfp_sim::{CostTracker, Nanos};
 use linuxfp_telemetry::{Counter, Registry};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -427,39 +440,102 @@ pub struct FlowEntry {
 struct CacheCounters {
     hits: Option<Counter>,
     misses: Option<Counter>,
+    records: Option<Counter>,
+    inserts: Option<Counter>,
     invalidations: Option<Counter>,
     evictions: Option<Counter>,
+}
+
+/// Adds `n` to a lifetime count and to its telemetry series, if wired.
+fn bump(count: &mut u64, counter: &Option<Counter>, n: u64) {
+    *count += n;
+    if let Some(c) = counter {
+        c.add(n);
+    }
+}
+
+/// Lifetime counters of one [`FlowCache`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FlowCacheStats {
+    /// Packets served from a recorded entry.
+    pub hits: u64,
+    /// Packets counted by [`FlowCache::note_miss`].
+    pub misses: u64,
+    /// Second-sighting misses whose program run was recorded.
+    pub records: u64,
+    /// Entries stored: recordings that passed every gate, and direct
+    /// [`FlowCache::insert`]s.
+    pub inserts: u64,
+    /// Recorded entries dropped by a generation change (placeholders hold
+    /// no recorded work and are not counted).
+    pub invalidations: u64,
+    /// Nodes, entries and placeholders alike, evicted by the capacity
+    /// bound.
+    pub evictions: u64,
 }
 
 /// Slab link meaning "no node": past either end of the recency list.
 const NIL: u32 = u32::MAX;
 
-/// One cached flow in the slab, threaded on the recency list. 64 bytes,
-/// so a relink touches one cache line per node.
+/// One flow in the slab, threaded on the recency list. 64 bytes, so a
+/// relink touches one cache line per node.
 #[derive(Debug)]
 struct Node {
     key: FlowKey,
-    entry: Arc<FlowEntry>,
+    /// The recorded flow, or `None` for a placeholder: a flow sighted once
+    /// under the current generation, recorded on its next miss. The `Arc`
+    /// niche keeps the option pointer-sized.
+    entry: Option<Arc<FlowEntry>>,
     /// Neighbour used more recently (towards the head), or [`NIL`].
     prev: u32,
     /// Neighbour used less recently (towards the tail), or [`NIL`].
     next: u32,
 }
 
+/// Where [`FlowCache::find_or_place`] left a key.
+enum Slot {
+    /// The key already had this node.
+    Found(u32),
+    /// A new placeholder node for the key, now at the head.
+    Placed(u32),
+}
+
+/// What [`FlowCache::probe`] found for one eligible packet.
+#[derive(Debug)]
+pub enum Probe {
+    /// A recorded entry: serve its verdict.
+    Hit(Arc<FlowEntry>),
+    /// The flow's placeholder: this is its second sighting, so record the
+    /// run and hand the result to [`FlowCache::record`].
+    Admitted(Admission),
+    /// First sighting under this generation: a placeholder now holds the
+    /// flow's place; run the program unrecorded.
+    FirstSighting,
+}
+
+/// A placeholder admitted for recording by [`FlowCache::probe`], redeemed
+/// by [`FlowCache::record`].
+#[derive(Debug, Clone, Copy)]
+pub struct Admission {
+    slot: u32,
+    generation: u64,
+}
+
 /// The per-hook microflow verdict cache.
 ///
 /// Entries are valid for exactly one combined coherence generation; the
 /// first access under a different generation clears the whole cache
-/// (counted as one invalidation per dropped entry). Capacity is bounded;
-/// inserts beyond it evict the least-recently-used flow.
+/// (counted as one invalidation per dropped recorded entry). Capacity is
+/// bounded; a new flow beyond it evicts the least-recently-used node.
 ///
 /// Flows live in a slab of [`Node`]s found through a key → slot index
-/// and threaded on a doubly-linked recency list. Every hit and insert
-/// moves its node to the head, so the tail is always the flow whose last
-/// use is oldest — exact LRU, with O(1) lookup, insert and evict. Nodes
-/// leave only by eviction (the incoming flow reuses the slot) or by a
-/// whole-cache flush, so the slab has no holes and its length is the
-/// entry count.
+/// and threaded on a doubly-linked recency list. A node is a recorded
+/// entry or a key-only placeholder; both take a slot and are evicted and
+/// flushed alike. Every hit, sighting and insert moves its node to the
+/// head, so the tail is always the flow whose last use is oldest — exact
+/// LRU, with O(1) lookup, insert and evict. Nodes leave only by eviction
+/// (the incoming flow reuses the slot) or by a whole-cache flush, so the
+/// slab has no holes.
 #[derive(Debug)]
 pub struct FlowCache {
     index: HashMap<FlowKey, u32>,
@@ -468,12 +544,11 @@ pub struct FlowCache {
     head: u32,
     /// Least recently used node — the next eviction victim.
     tail: u32,
+    /// Nodes holding a recorded entry (the rest are placeholders).
+    entries: usize,
     generation: u64,
     capacity: usize,
-    hits: u64,
-    misses: u64,
-    invalidations: u64,
-    evictions: u64,
+    stats: FlowCacheStats,
     counters: CacheCounters,
 }
 
@@ -486,13 +561,11 @@ impl FlowCache {
             slab: Vec::new(),
             head: NIL,
             tail: NIL,
+            entries: 0,
             generation: 0,
             // Slots are addressed by `u32` with `NIL` reserved.
             capacity: capacity.clamp(1, NIL as usize),
-            hits: 0,
-            misses: 0,
-            invalidations: 0,
-            evictions: 0,
+            stats: FlowCacheStats::default(),
             counters: CacheCounters::default(),
         }
     }
@@ -512,16 +585,26 @@ impl FlowCache {
             "Packets that took the interpreter (no valid cache entry)",
         );
         registry.describe(
+            "linuxfp_flowcache_records_total",
+            "Second-sighting misses whose program run was recorded",
+        );
+        registry.describe(
+            "linuxfp_flowcache_inserts_total",
+            "Recordings that passed every gate and were stored as entries",
+        );
+        registry.describe(
             "linuxfp_flowcache_invalidations_total",
             "Cache entries dropped by a coherence generation change",
         );
         registry.describe(
             "linuxfp_flowcache_evictions_total",
-            "Cache entries evicted by the capacity bound (LRU)",
+            "Cache entries and placeholders evicted by the capacity bound (LRU)",
         );
         self.counters = CacheCounters {
             hits: Some(registry.counter("linuxfp_flowcache_hits_total", &[])),
             misses: Some(registry.counter("linuxfp_flowcache_misses_total", &[])),
+            records: Some(registry.counter("linuxfp_flowcache_records_total", &[])),
+            inserts: Some(registry.counter("linuxfp_flowcache_inserts_total", &[])),
             invalidations: Some(registry.counter("linuxfp_flowcache_invalidations_total", &[])),
             evictions: Some(registry.counter("linuxfp_flowcache_evictions_total", &[])),
         };
@@ -534,19 +617,52 @@ impl FlowCache {
 
     fn validate(&mut self, generation: u64) {
         if self.generation != generation {
-            let dropped = self.slab.len() as u64;
-            if dropped > 0 {
-                self.invalidations += dropped;
-                if let Some(c) = &self.counters.invalidations {
-                    c.add(dropped);
-                }
-            }
+            bump(
+                &mut self.stats.invalidations,
+                &self.counters.invalidations,
+                self.entries as u64,
+            );
             self.index.clear();
             self.slab.clear();
             self.head = NIL;
             self.tail = NIL;
+            self.entries = 0;
             self.generation = generation;
         }
+    }
+
+    /// Finds `key`'s node, or places a placeholder for it at the head —
+    /// evicting the tail when the cache is full — with one index probe.
+    fn find_or_place(&mut self, key: FlowKey) -> Slot {
+        let evict = self.slab.len() >= self.capacity;
+        let i = match self.index.entry(key) {
+            Entry::Occupied(o) => return Slot::Found(*o.get()),
+            // Full: the tail is the victim; its slot takes the new flow.
+            Entry::Vacant(v) => *v.insert(if evict {
+                self.tail
+            } else {
+                self.slab.len() as u32
+            }),
+        };
+        let node = Node {
+            key,
+            entry: None,
+            prev: NIL,
+            next: NIL,
+        };
+        if evict {
+            self.unlink(i);
+            let evicted = std::mem::replace(&mut self.slab[i as usize], node);
+            self.index.remove(&evicted.key);
+            if evicted.entry.is_some() {
+                self.entries -= 1;
+            }
+            bump(&mut self.stats.evictions, &self.counters.evictions, 1);
+        } else {
+            self.slab.push(node);
+        }
+        self.push_front(i);
+        Slot::Placed(i)
     }
 
     /// Takes node `i` out of the recency list (its own links go stale).
@@ -582,72 +698,109 @@ impl FlowCache {
         }
     }
 
-    /// Looks up a flow under the given combined generation. Counts a hit
-    /// and refreshes the entry's LRU position on success; **does not**
-    /// count a miss (the caller counts misses via [`FlowCache::note_miss`]
-    /// so ineligible packets are part of the ledger too).
+    /// Counts a hit on node `i` and refreshes its LRU position.
+    fn note_hit(&mut self, i: u32) {
+        self.touch(i);
+        bump(&mut self.stats.hits, &self.counters.hits, 1);
+    }
+
+    /// Looks up a recorded flow under the given combined generation,
+    /// never serving a placeholder. Counts a hit and refreshes the entry's
+    /// LRU position on success; **does not** count a miss (the caller
+    /// counts misses via [`FlowCache::note_miss`] so ineligible packets
+    /// are part of the ledger too).
     pub fn lookup(&mut self, generation: u64, key: &FlowKey) -> Option<Arc<FlowEntry>> {
         self.validate(generation);
         let i = *self.index.get(key)?;
-        self.touch(i);
-        self.hits += 1;
-        if let Some(c) = &self.counters.hits {
-            c.inc();
+        let entry = Arc::clone(self.slab[i as usize].entry.as_ref()?);
+        self.note_hit(i);
+        Some(entry)
+    }
+
+    /// The data path's lookup: serves a recorded entry, admits a flow's
+    /// second sighting for recording, or places a placeholder on its
+    /// first — with one index probe either way. Like
+    /// [`FlowCache::lookup`] it counts hits but not misses.
+    pub fn probe(&mut self, generation: u64, key: &FlowKey) -> Probe {
+        self.validate(generation);
+        let i = match self.find_or_place(*key) {
+            Slot::Placed(_) => return Probe::FirstSighting,
+            Slot::Found(i) => i,
+        };
+        match &self.slab[i as usize].entry {
+            Some(entry) => {
+                let entry = Arc::clone(entry);
+                self.note_hit(i);
+                Probe::Hit(entry)
+            }
+            None => {
+                self.touch(i);
+                Probe::Admitted(Admission {
+                    slot: i,
+                    generation,
+                })
+            }
         }
-        Some(Arc::clone(&self.slab[i as usize].entry))
+    }
+
+    /// Finishes an admitted miss: counts one recording and, when the
+    /// recording passed every gate (`entry` is `Some`), fills the flow's
+    /// placeholder in place. A placeholder the cache no longer holds for
+    /// `key` under the admitting generation is left alone.
+    pub fn record(&mut self, admission: Admission, key: &FlowKey, entry: Option<FlowEntry>) {
+        bump(&mut self.stats.records, &self.counters.records, 1);
+        let Some(entry) = entry else {
+            return;
+        };
+        if self.generation != admission.generation {
+            return;
+        }
+        match self.slab.get_mut(admission.slot as usize) {
+            Some(node) if node.key == *key && node.entry.is_none() => {
+                node.entry = Some(Arc::new(entry));
+                self.entries += 1;
+                bump(&mut self.stats.inserts, &self.counters.inserts, 1);
+            }
+            _ => {}
+        }
     }
 
     /// Counts one cache miss (entry absent, stale, or packet ineligible).
     pub fn note_miss(&mut self) {
-        self.misses += 1;
-        if let Some(c) = &self.counters.misses {
-            c.inc();
-        }
+        bump(&mut self.stats.misses, &self.counters.misses, 1);
     }
 
-    /// Inserts a recorded flow under the given combined generation,
-    /// evicting the least-recently-used entry if the cache is full.
+    /// Stores a recorded flow under the given combined generation without
+    /// waiting for a second sighting, replacing the flow's placeholder or
+    /// entry in place, else evicting the least-recently-used node if the
+    /// cache is full.
     pub fn insert(&mut self, generation: u64, key: FlowKey, entry: FlowEntry) {
         self.validate(generation);
-        let entry = Arc::new(entry);
-        if let Some(&i) = self.index.get(&key) {
-            self.slab[i as usize].entry = entry;
-            self.touch(i);
-            return;
-        }
-        let node = Node {
-            key,
-            entry,
-            prev: NIL,
-            next: NIL,
-        };
-        let i = if self.slab.len() >= self.capacity {
-            // Full: the tail is the victim; its slot takes the new flow.
-            let victim = self.tail;
-            self.unlink(victim);
-            let evicted = std::mem::replace(&mut self.slab[victim as usize], node);
-            self.index.remove(&evicted.key);
-            self.evictions += 1;
-            if let Some(c) = &self.counters.evictions {
-                c.inc();
+        let i = match self.find_or_place(key) {
+            Slot::Found(i) => {
+                self.touch(i);
+                i
             }
-            victim
-        } else {
-            self.slab.push(node);
-            (self.slab.len() - 1) as u32
+            Slot::Placed(i) => i,
         };
-        self.index.insert(key, i);
-        self.push_front(i);
+        if self.slab[i as usize]
+            .entry
+            .replace(Arc::new(entry))
+            .is_none()
+        {
+            self.entries += 1;
+        }
+        bump(&mut self.stats.inserts, &self.counters.inserts, 1);
     }
 
-    /// Live entry count.
+    /// Recorded entry count; placeholders are not entries.
     pub fn len(&self) -> usize {
-        self.slab.len()
+        self.entries
     }
 
-    /// Whether the cache holds no entries.
+    /// Whether the cache holds no recorded entries.
     pub fn is_empty(&self) -> bool {
-        self.slab.is_empty()
+        self.entries == 0
     }
 
     /// The combined coherence generation the current entries are valid
@@ -658,9 +811,9 @@ impl FlowCache {
         self.generation
     }
 
-    /// Lifetime counters: `(hits, misses, invalidations, evictions)`.
-    pub fn stats(&self) -> (u64, u64, u64, u64) {
-        (self.hits, self.misses, self.invalidations, self.evictions)
+    /// Lifetime counters.
+    pub fn stats(&self) -> FlowCacheStats {
+        self.stats
     }
 }
 
@@ -739,27 +892,78 @@ mod tests {
         assert!(FlowKey::extract(&icmp, IfIndex(1)).is_none());
     }
 
+    fn key(sport: u16) -> FlowKey {
+        FlowKey::extract(&frame(sport), IfIndex(1)).unwrap()
+    }
+
+    #[test]
+    fn node_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Node>(), 64);
+    }
+
+    #[test]
+    fn flows_are_recorded_on_their_second_sighting() {
+        let mut cache = FlowCache::new(16);
+        let k = key(1);
+        // First sighting: a placeholder, no entry, nothing to serve.
+        assert!(matches!(cache.probe(3, &k), Probe::FirstSighting));
+        assert!(cache.is_empty());
+        assert!(cache.lookup(3, &k).is_none());
+        // Second sighting: admitted; the recording fills the node in place.
+        let Probe::Admitted(admission) = cache.probe(3, &k) else {
+            panic!("second sighting must be admitted");
+        };
+        cache.record(admission, &k, Some(entry()));
+        assert_eq!(cache.len(), 1);
+        // Third: a hit, through either door.
+        assert!(matches!(cache.probe(3, &k), Probe::Hit(_)));
+        assert!(cache.lookup(3, &k).is_some());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.records, stats.inserts), (2, 1, 1));
+        // A recording that fails a gate counts, stores nothing, and leaves
+        // the placeholder to be admitted again.
+        let k2 = key(2);
+        assert!(matches!(cache.probe(3, &k2), Probe::FirstSighting));
+        let Probe::Admitted(admission) = cache.probe(3, &k2) else {
+            panic!("second sighting must be admitted");
+        };
+        cache.record(admission, &k2, None);
+        assert!(matches!(cache.probe(3, &k2), Probe::Admitted(_)));
+        let stats = cache.stats();
+        assert_eq!((stats.records, stats.inserts, cache.len()), (2, 1, 1));
+    }
+
     #[test]
     fn generation_change_clears_all_entries() {
         let mut cache = FlowCache::new(16);
-        let key = FlowKey::extract(&frame(1), IfIndex(1)).unwrap();
-        cache.insert(7, key, entry());
-        assert!(cache.lookup(7, &key).is_some());
-        // Same generation: still there. New generation: gone.
-        assert_eq!(cache.len(), 1);
-        assert!(cache.lookup(8, &key).is_none());
+        let (k1, k2) = (key(1), key(2));
+        cache.insert(7, k1, entry());
+        assert!(matches!(cache.probe(7, &k2), Probe::FirstSighting));
+        assert!(cache.lookup(7, &k1).is_some());
+        // Same generation: both nodes there. New generation: both gone,
+        // but only the recorded entry counts as an invalidation.
+        assert_eq!((cache.len(), cache.slab.len()), (1, 2));
+        assert!(cache.lookup(8, &k1).is_none());
         assert!(cache.is_empty());
-        let (hits, _, invalidations, _) = cache.stats();
-        assert_eq!(hits, 1);
-        assert_eq!(invalidations, 1);
+        assert!(cache.slab.is_empty() && cache.index.is_empty());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.invalidations), (1, 1));
+        // The placeholder did not survive either: k2 is a first sighting.
+        assert!(matches!(cache.probe(8, &k2), Probe::FirstSighting));
+        // An admission from before a flush fills nothing after it.
+        let Probe::Admitted(stale) = cache.probe(8, &k2) else {
+            panic!("second sighting must be admitted");
+        };
+        assert!(matches!(cache.probe(9, &k2), Probe::FirstSighting));
+        cache.record(stale, &k2, Some(entry()));
+        assert!(cache.is_empty());
+        assert_eq!(cache.stats().invalidations, 1);
     }
 
     #[test]
     fn capacity_bound_evicts_least_recently_used() {
         let mut cache = FlowCache::new(2);
-        let k1 = FlowKey::extract(&frame(1), IfIndex(1)).unwrap();
-        let k2 = FlowKey::extract(&frame(2), IfIndex(1)).unwrap();
-        let k3 = FlowKey::extract(&frame(3), IfIndex(1)).unwrap();
+        let (k1, k2, k3) = (key(1), key(2), key(3));
         cache.insert(0, k1, entry());
         cache.insert(0, k2, entry());
         // Touch k1 so k2 becomes the LRU victim.
@@ -769,19 +973,65 @@ mod tests {
         assert!(cache.lookup(0, &k2).is_none());
         assert!(cache.lookup(0, &k1).is_some());
         assert!(cache.lookup(0, &k3).is_some());
-        assert_eq!(cache.stats().3, 1);
+        assert_eq!(cache.stats().evictions, 1);
     }
+
+    #[test]
+    fn placeholders_take_an_lru_slot_and_are_evicted_like_entries() {
+        let mut cache = FlowCache::new(2);
+        let (k1, k2, k3) = (key(1), key(2), key(3));
+        cache.insert(0, k1, entry());
+        // A placeholder takes the second slot and is now the most recent.
+        assert!(matches!(cache.probe(0, &k2), Probe::FirstSighting));
+        // A third flow evicts the least recently used node: the entry.
+        assert!(matches!(cache.probe(0, &k3), Probe::FirstSighting));
+        assert!(cache.lookup(0, &k1).is_none());
+        assert_eq!(
+            (cache.len(), cache.slab.len(), cache.stats().evictions),
+            (0, 2, 1)
+        );
+        // A fourth evicts the oldest placeholder, k2: its return is a
+        // first sighting again, while k3's is admitted.
+        assert!(matches!(cache.probe(0, &k1), Probe::FirstSighting));
+        assert!(matches!(cache.probe(0, &k3), Probe::Admitted(_)));
+        assert!(matches!(cache.probe(0, &k2), Probe::FirstSighting));
+        assert_eq!(cache.stats().evictions, 3);
+        assert_eq!(cache.stats().invalidations, 0);
+        assert_list_integrity(&cache);
+    }
+
+    #[test]
+    fn a_scan_larger_than_the_cache_never_records() {
+        // Cyclic flows one more than the capacity: each is evicted just
+        // before it returns, so every sighting is a first one.
+        let mut cache = FlowCache::new(64);
+        let keys: Vec<FlowKey> = (0..65).map(|p| key(1000 + p)).collect();
+        for _ in 0..4 {
+            for k in &keys {
+                assert!(matches!(cache.probe(0, k), Probe::FirstSighting));
+            }
+        }
+        assert!(cache.is_empty());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.records, stats.inserts), (0, 0, 0));
+    }
+
+    /// What the oracle holds per flow: last-use tick, and whether the
+    /// node is a recorded entry (else a placeholder).
+    type OracleNode = (u64, bool);
 
     /// The pre-slab implementation, kept as the reference oracle: a tick
     /// per access and an O(capacity) scan for the smallest one on
     /// eviction. Ticks are unique and monotone, so "smallest tick" and
     /// "tail of the recency list" must name the same flow every time.
     struct MinScanCache {
-        entries: HashMap<FlowKey, u64>,
+        nodes: HashMap<FlowKey, OracleNode>,
         generation: u64,
         tick: u64,
         capacity: usize,
         hits: u64,
+        records: u64,
+        inserts: u64,
         invalidations: u64,
         evictions: u64,
     }
@@ -789,11 +1039,13 @@ mod tests {
     impl MinScanCache {
         fn new(capacity: usize) -> Self {
             MinScanCache {
-                entries: HashMap::new(),
+                nodes: HashMap::new(),
                 generation: 0,
                 tick: 0,
                 capacity: capacity.max(1),
                 hits: 0,
+                records: 0,
+                inserts: 0,
                 invalidations: 0,
                 evictions: 0,
             }
@@ -801,78 +1053,116 @@ mod tests {
 
         fn validate(&mut self, generation: u64) {
             if self.generation != generation {
-                self.invalidations += self.entries.len() as u64;
-                self.entries.clear();
+                self.invalidations += self.nodes.values().filter(|(_, rec)| *rec).count() as u64;
+                self.nodes.clear();
                 self.generation = generation;
             }
+        }
+
+        fn entries(&self) -> usize {
+            self.nodes.values().filter(|(_, rec)| *rec).count()
+        }
+
+        /// Stamps `key`'s node with a fresh tick, first making room for a
+        /// new placeholder if the key has none. Returns the node.
+        fn place(&mut self, key: FlowKey) -> &mut OracleNode {
+            if self.nodes.len() >= self.capacity && !self.nodes.contains_key(&key) {
+                if let Some(victim) = self
+                    .nodes
+                    .iter()
+                    .min_by_key(|(_, (last_used, _))| *last_used)
+                    .map(|(k, _)| *k)
+                {
+                    self.nodes.remove(&victim);
+                    self.evictions += 1;
+                }
+            }
+            self.tick += 1;
+            let tick = self.tick;
+            let node = self.nodes.entry(key).or_insert((tick, false));
+            node.0 = tick;
+            node
         }
 
         fn lookup(&mut self, generation: u64, key: &FlowKey) -> bool {
             self.validate(generation);
             self.tick += 1;
             let tick = self.tick;
-            let Some(last_used) = self.entries.get_mut(key) else {
-                return false;
-            };
-            *last_used = tick;
-            self.hits += 1;
-            true
+            match self.nodes.get_mut(key) {
+                Some((last_used, true)) => {
+                    *last_used = tick;
+                    self.hits += 1;
+                    true
+                }
+                _ => false,
+            }
+        }
+
+        /// `Some(recorded)` if the key had a node, `None` on a first
+        /// sighting.
+        fn probe(&mut self, generation: u64, key: FlowKey) -> Option<bool> {
+            self.validate(generation);
+            let existed = self.nodes.contains_key(&key);
+            let recorded = self.place(key).1;
+            if recorded {
+                self.hits += 1;
+            }
+            existed.then_some(recorded)
+        }
+
+        fn record(&mut self, key: FlowKey, stored: bool) {
+            self.records += 1;
+            if stored {
+                self.nodes.get_mut(&key).expect("admitted node").1 = true;
+                self.inserts += 1;
+            }
         }
 
         fn insert(&mut self, generation: u64, key: FlowKey) {
             self.validate(generation);
-            if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
-                if let Some(victim) = self
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, last_used)| **last_used)
-                    .map(|(k, _)| *k)
-                {
-                    self.entries.remove(&victim);
-                    self.evictions += 1;
-                }
-            }
-            self.tick += 1;
-            self.entries.insert(key, self.tick);
+            self.place(key).1 = true;
+            self.inserts += 1;
         }
     }
 
     /// Walks the recency list both ways and checks it against the index
     /// and the slab: same node count, mirrored order, every node indexed
-    /// under its own key.
+    /// under its own key, and the entry count matching the filled nodes.
     fn assert_list_integrity(cache: &FlowCache) {
+        let nodes = cache.slab.len();
         let mut forward = Vec::new();
         let mut i = cache.head;
         while i != NIL {
             forward.push(i);
-            assert!(forward.len() <= cache.len(), "cycle walking head -> tail");
+            assert!(forward.len() <= nodes, "cycle walking head -> tail");
             i = cache.slab[i as usize].next;
         }
         let mut backward = Vec::new();
         let mut i = cache.tail;
         while i != NIL {
             backward.push(i);
-            assert!(backward.len() <= cache.len(), "cycle walking tail -> head");
+            assert!(backward.len() <= nodes, "cycle walking tail -> head");
             i = cache.slab[i as usize].prev;
         }
         backward.reverse();
         assert_eq!(forward, backward);
-        assert_eq!(forward.len(), cache.len());
-        assert_eq!(cache.index.len(), cache.len());
+        assert_eq!(forward.len(), nodes);
+        assert_eq!(cache.index.len(), nodes);
         for &i in &forward {
             assert_eq!(cache.index.get(&cache.slab[i as usize].key), Some(&i));
         }
+        let filled = cache.slab.iter().filter(|n| n.entry.is_some()).count();
+        assert_eq!(cache.len(), filled);
     }
 
     #[test]
     fn slab_lru_matches_the_min_scan_oracle() {
         use linuxfp_sim::SimRng;
-        assert!(std::mem::size_of::<Node>() <= 64);
         for capacity in [1usize, 2, 3, 64] {
-            // Enough distinct flows that inserts hit all three cases:
+            // Enough distinct flows that placements hit all three cases:
             // new key with room, existing key, new key at capacity.
             let keys: Vec<FlowKey> = (0..capacity as u16 * 2 + 3)
-                .map(|p| FlowKey::extract(&frame(1000 + p), IfIndex(1)).unwrap())
+                .map(|p| key(1000 + p))
                 .collect();
             for seed in 0..4 {
                 let mut rng = SimRng::seed(seed * 31 + capacity as u64);
@@ -883,36 +1173,58 @@ mod tests {
                     let key = *rng.choose(&keys);
                     match rng.uniform_u64(1000) {
                         0..=2 => generation += 1,
-                        3..=499 => {
+                        3..=199 => {
                             cache.insert(generation, key, entry());
                             oracle.insert(generation, key);
                         }
-                        _ => {
+                        200..=599 => {
                             let hit = cache.lookup(generation, &key).is_some();
                             assert_eq!(hit, oracle.lookup(generation, &key));
                             if !hit {
                                 cache.note_miss();
                             }
                         }
+                        // The data path: probe, and finish an admission
+                        // with a recording that passes its gates or not.
+                        draw => {
+                            match (cache.probe(generation, &key), oracle.probe(generation, key)) {
+                                (Probe::Hit(_), Some(true)) | (Probe::FirstSighting, None) => {}
+                                (Probe::Admitted(admission), Some(false)) => {
+                                    let stored = draw % 4 != 0;
+                                    cache.record(admission, &key, stored.then(entry));
+                                    oracle.record(key, stored);
+                                }
+                                (got, want) => panic!("probe {got:?}, oracle {want:?}"),
+                            }
+                        }
                     }
                     // Same resident set after every step: whenever one
                     // evicted, both evicted the same victim.
-                    assert_eq!(cache.len(), oracle.entries.len());
+                    assert_eq!(cache.slab.len(), oracle.nodes.len());
+                    assert_eq!(cache.len(), oracle.entries());
                     for k in &keys {
                         assert_eq!(
                             cache.index.contains_key(k),
-                            oracle.entries.contains_key(k),
+                            oracle.nodes.contains_key(k),
                             "capacity {capacity} seed {seed}: resident sets differ"
                         );
                     }
-                    let (hits, _, invalidations, evictions) = cache.stats();
+                    let s = cache.stats();
                     assert_eq!(
-                        (hits, invalidations, evictions),
-                        (oracle.hits, oracle.invalidations, oracle.evictions)
+                        (s.hits, s.records, s.inserts, s.invalidations, s.evictions),
+                        (
+                            oracle.hits,
+                            oracle.records,
+                            oracle.inserts,
+                            oracle.invalidations,
+                            oracle.evictions
+                        )
                     );
                     assert_list_integrity(&cache);
                 }
-                assert!(cache.stats().3 > 0, "capacity {capacity}: never evicted");
+                let s = cache.stats();
+                assert!(s.evictions > 0, "capacity {capacity}: never evicted");
+                assert!(s.records > 0, "capacity {capacity}: never recorded");
             }
         }
     }
@@ -922,8 +1234,7 @@ mod tests {
         let mut cache = FlowCache::new(DEFAULT_CAPACITY);
         assert_eq!(cache.slab.capacity(), 0);
         assert_eq!(cache.index.capacity(), 0);
-        let k1 = FlowKey::extract(&frame(1), IfIndex(1)).unwrap();
-        let k2 = FlowKey::extract(&frame(2), IfIndex(1)).unwrap();
+        let (k1, k2) = (key(1), key(2));
         cache.insert(0, k1, entry());
         cache.insert(0, k2, entry());
         // The slab grows with the flows it holds, not to the bound: a
@@ -932,7 +1243,7 @@ mod tests {
         // A generation bump drops both (two invalidations) and leaves an
         // empty, reusable list.
         cache.insert(1, k1, entry());
-        assert_eq!(cache.stats().2, 2);
+        assert_eq!(cache.stats().invalidations, 2);
         assert_eq!((cache.len(), cache.head, cache.tail), (1, 0, 0));
         assert_list_integrity(&cache);
     }

@@ -9,7 +9,7 @@
 //! the old or the new program.
 
 use crate::asm::Asm;
-use crate::flowcache::{self, FlowCache, FlowEntry, FlowKey};
+use crate::flowcache::{self, FlowCache, FlowEntry, FlowKey, Probe};
 use crate::helpers::HelperEnv;
 use crate::insn::Action;
 use crate::maps::{MapId, MapStore};
@@ -316,6 +316,10 @@ fn hook_fn_inner(
         } else {
             None
         };
+        // Set when this miss is the flow's second sighting: its run is the
+        // one to record.
+        let mut admitted = None;
+        let mut invalidated = false;
         if cache_on {
             let mut fc = flow_cache.lock().unwrap();
             if !fc.telemetry_wired() {
@@ -323,12 +327,20 @@ fn hook_fn_inner(
                     fc.wire_telemetry(&t.registry);
                 }
             }
-            // Compared *before* lookup (which flushes lazily on a
+            // Compared *before* the probe (which flushes lazily on a
             // generation change) to tell an invalidation miss from a
             // cold one; only the sampled path pays the reads.
-            let invalidated = trace.enabled() && !fc.is_empty() && fc.generation() != gen;
+            invalidated = trace.enabled() && !fc.is_empty() && fc.generation() != gen;
             if let Some(k) = &key {
-                if let Some(entry) = fc.lookup(gen, k) {
+                let entry = match fc.probe(gen, k) {
+                    Probe::Hit(entry) => Some(entry),
+                    Probe::Admitted(admission) => {
+                        admitted = Some(admission);
+                        None
+                    }
+                    Probe::FirstSighting => None,
+                };
+                if let Some(entry) = entry {
                     drop(fc);
                     rewrite::apply_ops(&mut packet.data, &entry.ops);
                     flowcache::replay_touches(&entry.touches, kernel);
@@ -358,32 +370,9 @@ fn hook_fn_inner(
             if sharded {
                 bump_shard(&telemetry, "linuxfp_shard_flowcache_misses_total", shard);
             }
-            trace.event(|| TraceEvent::FlowCache {
-                outcome: if key.is_none() {
-                    FlowCacheOutcome::MissIneligible
-                } else if invalidated {
-                    FlowCacheOutcome::MissInvalidated
-                } else {
-                    FlowCacheOutcome::MissCold
-                },
-            });
-        } else if dispatch.is_some() {
-            trace.event(|| TraceEvent::FlowCache {
-                outcome: FlowCacheOutcome::MissDisabled,
-            });
         }
 
         // ---- miss: interpret (recording helper touches) --------------
-        let record_candidate = cache_on && key.is_some();
-        let before_frame = record_candidate.then(|| packet.data.to_vec());
-        let mut ctx = VmCtx::xdp(&mut packet.data, ingress, rx_queue);
-        if hook == HookPoint::Tc {
-            // TC programs see parsed sk_buff fields.
-            if let Ok(eth) = EthernetFrame::parse(ctx.packet) {
-                ctx.protocol = u32::from(eth.ethertype.to_u16());
-                ctx.vlan_tci = eth.vlan.map(|t| u32::from(t.vid)).unwrap_or(0);
-            }
-        }
         // A packet under an unchanged generation runs the slot's program
         // directly, skipping the dispatcher walk (see [`BatchCache`]).
         let cached = dispatch.and_then(|_| {
@@ -393,6 +382,35 @@ fn hook_fn_inner(
                 .filter(|c| c.gen == gen)
                 .map(|c| c.resolved.clone())
         });
+        // A statically uncacheable slot program fails the first recording
+        // gate whatever it does: skip the frame copy and the helper log.
+        let record = admitted.filter(|_| cached.as_ref().is_none_or(LoadedProgram::cacheable));
+        if cache_on {
+            trace.event(|| TraceEvent::FlowCache {
+                outcome: if key.is_none() {
+                    FlowCacheOutcome::MissIneligible
+                } else if invalidated {
+                    FlowCacheOutcome::MissInvalidated
+                } else if record.is_some() {
+                    FlowCacheOutcome::MissRecording
+                } else {
+                    FlowCacheOutcome::MissCold
+                },
+            });
+        } else if dispatch.is_some() {
+            trace.event(|| TraceEvent::FlowCache {
+                outcome: FlowCacheOutcome::MissDisabled,
+            });
+        }
+        let before_frame = record.is_some().then(|| packet.data.to_vec());
+        let mut ctx = VmCtx::xdp(&mut packet.data, ingress, rx_queue);
+        if hook == HookPoint::Tc {
+            // TC programs see parsed sk_buff fields.
+            if let Ok(eth) = EthernetFrame::parse(ctx.packet) {
+                ctx.protocol = u32::from(eth.ethertype.to_u16());
+                ctx.vlan_tci = eth.vlan.map(|t| u32::from(t.vid)).unwrap_or(0);
+            }
+        }
         let interp_start = tracker.total_ns();
         // Resolving a human-readable program name is only worth the
         // String when this packet is sampled.
@@ -430,7 +448,7 @@ fn hook_fn_inner(
                 }
             }
         };
-        let (out, ran_cacheable, prog_name, slot_empty, touches) = if record_candidate {
+        let (out, ran_cacheable, prog_name, slot_empty, touches) = if record.is_some() {
             let mut rec = flowcache::RecordingEnv::new(kernel);
             let (out, cacheable, name, slot_empty) = run(&mut rec, tracker);
             (out, cacheable, name, slot_empty, rec.into_touches())
@@ -492,9 +510,10 @@ fn hook_fn_inner(
         // cache must never decelerate a path — trivial programs stay
         // interpreted); and the frame diff reduces to replayable rewrite
         // ops that verifiably reproduce the observed output.
-        if let (Some(before), Some(k)) = (before_frame, key) {
+        if let (Some(admission), Some(before), Some(k)) = (record, before_frame, key) {
             let replayable_verdict =
                 !matches!(verdict, HookVerdict::DeliverUser) && out.action != Action::Aborted;
+            let mut entry = None;
             // An allow-without-pin L7 verdict depends on this segment's
             // payload, which the flow key does not pin — never cache it.
             if ran_cacheable
@@ -506,18 +525,15 @@ fn hook_fn_inner(
                     let mut check = before;
                     rewrite::apply_ops(&mut check, &ops);
                     if check[..] == packet.data[..] {
-                        flow_cache.lock().unwrap().insert(
-                            gen,
-                            k,
-                            FlowEntry {
-                                verdict,
-                                ops,
-                                touches,
-                            },
-                        );
+                        entry = Some(FlowEntry {
+                            verdict,
+                            ops,
+                            touches,
+                        });
                     }
                 }
             }
+            flow_cache.lock().unwrap().record(admission, &k, entry);
         }
 
         // Telemetry counters are real atomics with no virtual-time

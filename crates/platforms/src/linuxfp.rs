@@ -243,9 +243,12 @@ mod tests {
             let out_f = lfp.process(s.client_frame(mac, client, i % 2, 60));
             assert_eq!(out_l.transmissions(), out_f.transmissions(), "frame {i}");
         }
-        // An established flow translates entirely on the fast path — by
-        // now it repeats a recorded flow, so the microflow verdict cache
-        // serves it without even the bpf_nat_lookup.
+        // An established flow translates entirely on the fast path. Its
+        // next repeat is its second sighting since the last binding, so
+        // it is recorded; the one after that is served by the microflow
+        // verdict cache without even the bpf_nat_lookup.
+        let out = lfp.process(s.client_frame(mac, 2, 0, 60));
+        assert_eq!(out.cost.stage_count("skb_alloc"), 0, "must stay fast");
         let out = lfp.process(s.client_frame(mac, 2, 0, 60));
         assert_eq!(out.cost.stage_count("skb_alloc"), 0, "must stay fast");
         assert_eq!(out.cost.stage_count("flowcache_hit"), 1, "cached repeat");

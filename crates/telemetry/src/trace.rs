@@ -251,8 +251,13 @@ impl std::fmt::Display for PuntReason {
 pub enum FlowCacheOutcome {
     /// A live entry replayed its verdict at the flat hit price.
     Hit,
-    /// No entry existed for this flow yet.
+    /// No entry existed for this flow, and this run records nothing: the
+    /// flow's first sighting under the current generation (a placeholder
+    /// now holds its place), or a program that can never be cached.
     MissCold,
+    /// The flow's second sighting: admitted, so this run is recorded and,
+    /// if it passes every gate, stored for the next packet.
+    MissRecording,
     /// The generation moved (config/time change) and flushed the cache.
     MissInvalidated,
     /// The packet is not cacheable (non-IPv4, fragment, bad checksum…).
@@ -267,6 +272,7 @@ impl FlowCacheOutcome {
         match self {
             FlowCacheOutcome::Hit => "hit",
             FlowCacheOutcome::MissCold => "miss (cold)",
+            FlowCacheOutcome::MissRecording => "miss (recording)",
             FlowCacheOutcome::MissInvalidated => "miss (invalidated)",
             FlowCacheOutcome::MissIneligible => "miss (ineligible)",
             FlowCacheOutcome::MissDisabled => "miss (disabled)",

@@ -120,7 +120,8 @@ fn draw(round: usize, reg: &Registry, ring: &TraceRing) {
     let fc_total = fc_hits + fc_misses;
     if fc_total > 0 {
         println!(
-            "flow cache: hits={fc_hits} misses={fc_misses} hit%={:.1} invalidations={} evictions={}",
+            "flow cache: hits={fc_hits} misses={fc_misses} records={} hit%={:.1} invalidations={} evictions={}",
+            reg.counter_total("linuxfp_flowcache_records_total"),
             100.0 * fc_hits as f64 / fc_total as f64,
             reg.counter_total("linuxfp_flowcache_invalidations_total"),
             reg.counter_total("linuxfp_flowcache_evictions_total"),
@@ -363,6 +364,15 @@ fn main() {
         fc_hits + fc_misses,
         injected,
         "flow-cache ledger must balance"
+    );
+    // Only second sightings are recorded; only gate-passing recordings
+    // are stored.
+    let fc_records = registry.counter_total("linuxfp_flowcache_records_total");
+    let fc_inserts = registry.counter_total("linuxfp_flowcache_inserts_total");
+    println!("flow cache:   {fc_inserts} inserts <= {fc_records} records <= {fc_misses} misses");
+    assert!(
+        fc_inserts <= fc_records && fc_records <= fc_misses,
+        "flow-cache recording ledger out of order"
     );
 
     println!("\nrecent control-plane events:");

@@ -7,7 +7,8 @@
 //! chains, NAT rewrites, drops with taxonomy reasons), and the
 //! per-stage virtual-time attribution whose sum equals the total
 //! service time charged. A cost-breakdown table over all sampled spans
-//! closes the report.
+//! and a tally of flow-cache outcomes (hit, first sighting, recorded
+//! second sighting, other misses) close the report.
 //!
 //! ```text
 //! linuxfp_trace [--json] [--every N] [--seq I] [--shards N] FIXTURE.json
@@ -24,7 +25,8 @@
 
 use linuxfp_difftest::{trace_scenario_with_shards, DiffScenario};
 use linuxfp_json::{json, Value};
-use linuxfp_telemetry::trace::CostBreakdown;
+use linuxfp_telemetry::trace::{CostBreakdown, TraceEvent, TraceSpan};
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -70,6 +72,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let breakdown = CostBreakdown::from_spans(&spans);
+    let outcomes = flow_cache_outcomes(&spans);
 
     if json_mode {
         let span_values: Vec<Value> = spans.iter().map(|s| s.to_json()).collect();
@@ -78,6 +81,11 @@ fn main() -> ExitCode {
         doc.insert("every".to_string(), Value::from(every));
         doc.insert("spans".to_string(), json!(span_values));
         doc.insert("breakdown".to_string(), breakdown.to_json());
+        let tally: linuxfp_json::Map = outcomes
+            .iter()
+            .map(|(outcome, n)| (outcome.to_string(), Value::from(*n)))
+            .collect();
+        doc.insert("flowcache".to_string(), Value::Object(tally));
         println!("{}", linuxfp_json::to_string_pretty(&Value::Object(doc)));
     } else {
         println!(
@@ -89,8 +97,23 @@ fn main() -> ExitCode {
             println!("{}", span.render_text());
         }
         println!("{}", breakdown.render_text());
+        let tally: Vec<String> = outcomes.iter().map(|(o, n)| format!("{o}={n}")).collect();
+        println!("flow cache outcomes: {}", tally.join(" "));
     }
     ExitCode::SUCCESS
+}
+
+/// How many sampled packets met each flow-cache outcome — hits, first
+/// sightings (`miss (cold)`), recorded second sightings (`miss
+/// (recording)`) and the other miss causes.
+fn flow_cache_outcomes(spans: &[TraceSpan]) -> BTreeMap<&'static str, u64> {
+    let mut tally = BTreeMap::new();
+    for event in spans.iter().flat_map(|s| &s.events) {
+        if let TraceEvent::FlowCache { outcome } = event {
+            *tally.entry(outcome.as_str()).or_insert(0) += 1;
+        }
+    }
+    tally
 }
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {

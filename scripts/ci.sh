@@ -29,6 +29,25 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- run --quick \
   | grep -E "correct (true|false)|^wrote "
 
+echo "==> flow-cache misses allocate like hits: allocs_per_op <= 2.15625 on gateway_miss and router_thrash"
+# A flow is recorded on its second sighting; on these two workloads no flow
+# is sighted twice before a flush or an eviction, so a miss must allocate
+# no more than a hit does. The count is exact, so --quick reproduces it.
+for workload in gateway_miss router_thrash; do
+  cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+      run --workload "$workload" --quick \
+    | tail -n 1 \
+    | python3 -c '
+import json, sys
+workload = sys.argv[1]
+doc = json.load(sys.stdin)
+assert doc["correct"] and doc["failed"] == 0, f"{workload}: oracle or ledger failed"
+allocs = doc["metrics"]["allocs_per_op"]["value"]
+assert allocs <= 2.15625, f"FAIL: {workload} allocs_per_op {allocs} > 2.15625"
+print(f"ok: {workload} allocs_per_op {allocs}")
+' "$workload"
+done
+
 echo "==> bench smoke: batching must not regress (burst 32 <= burst 1)"
 cargo run -q -p linuxfp-bench --bin repro --release -- batch_sweep \
   | awk '

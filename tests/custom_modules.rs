@@ -51,7 +51,13 @@ fn frame(k: &Kernel, eth0: IfIndex) -> Vec<u8> {
 #[test]
 fn monitoring_module_counts_fast_path_packets() {
     let (mut k, eth0, _) = router_kernel();
-    let (mut ctrl, _) = Controller::attach(&mut k, ControllerConfig::default()).unwrap();
+    let registry = Registry::new();
+    k.set_telemetry(registry.clone());
+    let cfg = ControllerConfig {
+        telemetry: Some(registry.clone()),
+        ..ControllerConfig::default()
+    };
+    let (mut ctrl, _) = Controller::attach(&mut k, cfg).unwrap();
 
     // Create the counter map in the controller's shared map store, then
     // hot-install the monitoring module referencing it.
@@ -68,6 +74,10 @@ fn monitoring_module_counts_fast_path_packets() {
         assert_eq!(out.cost.stage_count("skb_alloc"), 0, "still fast-pathed");
         assert_eq!(out.cost.stage_count("map_update"), 1, "monitor ran");
     }
+    // A pipeline with a custom helper is statically uncacheable: its
+    // repeats miss the flow cache and are not even recorded.
+    assert_eq!(registry.counter_total("linuxfp_flowcache_misses_total"), 5);
+    assert_eq!(registry.counter_total("linuxfp_flowcache_records_total"), 0);
     // User space reads the live counter out of the shared map.
     let value = ctrl
         .deployer()

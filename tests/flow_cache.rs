@@ -152,7 +152,7 @@ fn nat_masquerade_identical_with_cache_on_and_off() {
     let flows: Vec<_> = (0..4u64)
         .map(|i| s.client_frame(mac, 2 + (i % 2) as u8, i / 2, 60))
         .collect();
-    let hits = assert_cache_transparent(on, off, &repeat_interleaved(&flows, 4), "nat");
+    let hits = assert_cache_transparent(on, off, &repeat_interleaved(&flows, 5), "nat");
     assert!(hits >= 8, "nat repeats must hit the cache: {hits}");
 }
 
@@ -314,6 +314,82 @@ fn route_change_re_resolves_cached_flows() {
         observe(std::iter::once(&cached)).transmissions[0],
         "stale cached output must not survive the route change"
     );
+}
+
+#[test]
+fn a_scan_records_nothing_and_a_returning_working_set_hits() {
+    // A flow is recorded on its second sighting. 5,000 flows cycled
+    // through a 4,096-entry cache are each evicted just before they
+    // return, so nothing is ever recorded or served — the cache-on side
+    // does exactly the cache-off side's work. A 1,000-flow set that fits
+    // is recorded on its second pass and served on its third.
+    let s = Scenario::router();
+    let registry = Registry::new();
+    let mut on = LinuxFpPlatform::with_telemetry(s, HookPoint::Xdp, registry.clone());
+    let mut off = LinuxFpPlatform::new(s);
+    off.kernel_mut()
+        .sysctl_set("net.linuxfp.flow_cache", 0)
+        .expect("flow_cache sysctl exists");
+    let mac = on.dut_mac();
+    let flow = |i: u64, sport_base: u16| {
+        builder::udp_packet(
+            SOURCE_MAC,
+            mac,
+            Ipv4Addr::new(10, 0, 1, 100),
+            s.allowed_dst(i),
+            sport_base + i as u16,
+            4791,
+            b"scan",
+        )
+    };
+    let counts = || {
+        (
+            registry.counter_total("linuxfp_flowcache_records_total"),
+            registry.counter_total("linuxfp_flowcache_hits_total"),
+        )
+    };
+    let mut pass = |flows: u64, sport_base: u16| {
+        let before = counts();
+        for i in 0..flows {
+            let frame = flow(i, sport_base);
+            let out_on = on.process(frame.clone());
+            let out_off = off.process(frame);
+            assert_eq!(
+                observe(std::iter::once(&out_on)),
+                observe(std::iter::once(&out_off)),
+                "flow {i} of {flows}: cache on vs off"
+            );
+            assert_eq!(out_on.cost.total_ns(), out_off.cost.total_ns(), "flow {i}");
+        }
+        let after = counts();
+        (after.0 - before.0, after.1 - before.1)
+    };
+
+    for _ in 0..3 {
+        assert_eq!(
+            pass(5_000, 20_000),
+            (0, 0),
+            "(records, hits) of a scan pass"
+        );
+    }
+    assert_eq!(pass(1_000, 40_000), (0, 0), "first sightings");
+    assert_eq!(pass(1_000, 40_000), (1_000, 0), "second sightings record");
+    let (records, hits) = counts();
+    assert_eq!(
+        registry.counter_total("linuxfp_flowcache_inserts_total"),
+        records
+    );
+    assert_eq!(hits, 0);
+
+    // Pass 3 is all hits: the cache-on side now charges the hit price.
+    let mut served = 0;
+    for i in 0..1_000 {
+        let out = on.process(flow(i, 40_000));
+        served += out.cost.stage_count("flowcache_hit");
+        assert_eq!(out.transmissions().len(), 1, "flow {i} forwarded");
+    }
+    assert_eq!(served, 1_000);
+    assert_eq!(counts(), (1_000, 1_000));
 }
 
 #[test]

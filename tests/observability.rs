@@ -146,6 +146,19 @@ fn mixed_traffic_conserves_packets_per_fpm() {
     let fc_hits = registry.counter_total("linuxfp_flowcache_hits_total");
     let fc_misses = registry.counter_total("linuxfp_flowcache_misses_total");
     assert_eq!(fc_hits + fc_misses, total, "flow-cache ledger must balance");
+    // Only a flow's second sighting is recorded, and only a recording that
+    // passes every gate is stored.
+    let fc_records = registry.counter_total("linuxfp_flowcache_records_total");
+    let fc_inserts = registry.counter_total("linuxfp_flowcache_inserts_total");
+    assert!(
+        fc_records <= fc_misses,
+        "{fc_records} records > {fc_misses} misses"
+    );
+    assert!(
+        fc_inserts <= fc_records,
+        "{fc_inserts} inserts > {fc_records} records"
+    );
+    assert!(fc_inserts > 0 && fc_hits > 0, "the cache never engaged");
 
     // The layers below agree: VM verdicts sum to the hook decisions, and
     // the verifier accepted every deployed program.
