@@ -31,7 +31,6 @@ pub mod control;
 pub mod cores;
 pub mod flow_cache;
 pub mod hooks;
-pub mod jit;
 pub mod l7;
 pub mod opt;
 pub mod pods;
@@ -65,7 +64,6 @@ pub fn run_experiment(id: &str) -> Option<ExperimentTable> {
         "flow_cache" => flow_cache::flow_cache_experiment(),
         "trace_breakdown" => trace::trace_breakdown_experiment(),
         "l7_gateway" => l7::l7_gateway_experiment(),
-        "jit_dispatch" => jit::jit_dispatch_experiment(),
         "opt_dispatch" => opt::opt_dispatch_experiment(),
         _ => return None,
     })
@@ -95,7 +93,6 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "flow_cache",
     "trace_breakdown",
     "l7_gateway",
-    "jit_dispatch",
     "opt_dispatch",
 ];
 
@@ -112,6 +109,6 @@ mod tests {
             assert!(!t.rows.is_empty(), "{id} produced no rows");
         }
         assert!(run_experiment("fig99").is_none());
-        assert_eq!(ALL_EXPERIMENTS.len(), 23);
+        assert_eq!(ALL_EXPERIMENTS.len(), 22);
     }
 }

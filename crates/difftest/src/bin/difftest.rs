@@ -1,28 +1,26 @@
 //! Differential-fuzzing CLI.
 //!
 //! ```text
-//! difftest run --seeds N [--start S] [--corpus DIR] [--shards N] [--jit 0|1] [--opt 0|1]
+//! difftest run --seeds N [--start S] [--corpus DIR] [--shards N] [--opt 0|1]
 //!                                                     sweep N seeded scenarios
-//! difftest replay [--shards N] [--jit 0|1] [--opt 0|1] FILE...
+//! difftest replay [--shards N] [--opt 0|1] FILE...
 //!                                                     replay stored fixtures
 //! ```
 //!
-//! `--shards N` sets `net.linuxfp.rss_shards` on both kernels: the
-//! sharded datapath must stay byte-identical to the single-core run.
-//!
-//! `--jit 0` clears `net.linuxfp.jit` on both kernels, forcing every
-//! eBPF program onto the reference interpreter instead of its compiled
-//! form — the interpreter-parity lane. Default is `--jit 1` (compiled,
-//! matching the kernel default).
-//!
-//! `--opt 0` clears `net.linuxfp.opt` before the controller's first
-//! deploy, loading every fast path in naive synthesized form — the
-//! optimizer-equivalence lane. Default is `--opt 1` (optimized,
-//! matching the kernel default).
+//! Every scenario carries a datapath mode: RSS shards on both kernels
+//! (`net.linuxfp.rss_shards`) and whether fast paths deploy optimized
+//! (`net.linuxfp.opt`). A seed draws its mode — one of (1 or 4 shards) ×
+//! (optimizer on or off) — so a sweep covers every combination; a
+//! fixture replays in the mode it recorded (1 shard, optimizer on when it
+//! records none). `--shards N` and `--opt 0|1` override the mode of every
+//! scenario run; a divergence is shrunk, traced and written in the mode
+//! it was found in.
 //!
 //! Exit status is non-zero on any divergence. `run` shrinks each failure
 //! and, with `--corpus`, writes the minimal repro there as JSON.
 
+use linuxfp_difftest::DiffScenario;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -32,9 +30,9 @@ fn main() -> ExitCode {
         Some("replay") => cmd_replay(&args[1..]),
         _ => {
             eprintln!(
-                "usage: difftest run --seeds N [--start S] [--corpus DIR] [--shards N] [--jit 0|1] [--opt 0|1]"
+                "usage: difftest run --seeds N [--start S] [--corpus DIR] [--shards N] [--opt 0|1]"
             );
-            eprintln!("       difftest replay [--shards N] [--jit 0|1] [--opt 0|1] FILE...");
+            eprintln!("       difftest replay [--shards N] [--opt 0|1] FILE...");
             ExitCode::from(2)
         }
     }
@@ -50,47 +48,43 @@ fn parse_str<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.get(pos + 1).map(String::as_str)
 }
 
-/// The `--shards N --jit 0|1 --opt 0|1` mode suffix for log lines;
-/// empty at the defaults.
-fn mode_suffix(shards: u32, jit: bool, opt: bool) -> String {
-    let mut parts = Vec::new();
-    if shards > 1 {
-        parts.push(format!("rss_shards={shards}"));
+/// Applies the `--shards N` / `--opt 0|1` overrides to a scenario's mode.
+fn override_mode(args: &[String], ds: &mut DiffScenario) {
+    if let Some(shards) = parse_u64(args, "--shards") {
+        ds.shards = shards as u32;
     }
-    if !jit {
-        parts.push("jit=off".to_string());
+    if let Some(opt) = parse_u64(args, "--opt") {
+        ds.opt = opt != 0;
     }
-    if !opt {
-        parts.push("opt=off".to_string());
-    }
-    if parts.is_empty() {
-        String::new()
-    } else {
-        format!(" ({})", parts.join(", "))
-    }
+}
+
+/// The scenario's mode, for log lines.
+fn mode(ds: &DiffScenario) -> String {
+    let opt = if ds.opt { "on" } else { "off" };
+    format!("rss_shards={}, opt={opt}", ds.shards)
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
     let seeds = parse_u64(args, "--seeds").unwrap_or(200);
     let start = parse_u64(args, "--start").unwrap_or(0);
     let corpus = parse_str(args, "--corpus");
-    let shards = parse_u64(args, "--shards").unwrap_or(1) as u32;
-    let jit = parse_u64(args, "--jit").unwrap_or(1) != 0;
-    let opt = parse_u64(args, "--opt").unwrap_or(1) != 0;
 
     let mut packets = 0usize;
     let mut failures = 0u32;
+    let mut modes: BTreeMap<String, u32> = BTreeMap::new();
     for seed in start..start + seeds {
-        let scenario = linuxfp_difftest::generate(seed);
-        let outcome = linuxfp_difftest::run_with_options(&scenario, shards, jit, opt);
+        let mut scenario = linuxfp_difftest::generate(seed);
+        override_mode(args, &mut scenario);
+        *modes.entry(mode(&scenario)).or_default() += 1;
+        let outcome = linuxfp_difftest::run(&scenario);
         packets += outcome.packets;
         if let Some(div) = &outcome.divergence {
             failures += 1;
             eprintln!(
-                "difftest: seed {seed} DIVERGED at op {} [{}]{}",
+                "difftest: seed {seed} DIVERGED at op {} [{}] ({})",
                 div.op,
                 div.kind,
-                mode_suffix(shards, jit, opt)
+                mode(&scenario)
             );
             eprintln!("  {}", div.detail);
             let minimal = linuxfp_difftest::shrink(&scenario);
@@ -126,17 +120,15 @@ fn cmd_run(args: &[String]) -> ExitCode {
         eprintln!("difftest: {failures}/{seeds} seeds diverged");
         return ExitCode::FAILURE;
     }
+    let tally: Vec<String> = modes.iter().map(|(m, n)| format!("{n} at {m}")).collect();
     println!(
-        "difftest: {seeds} seeds, {packets} packets, zero divergence{}",
-        mode_suffix(shards, jit, opt)
+        "difftest: {seeds} seeds, {packets} packets, zero divergence ({})",
+        tally.join("; ")
     );
     ExitCode::SUCCESS
 }
 
 fn cmd_replay(args: &[String]) -> ExitCode {
-    let shards = parse_u64(args, "--shards").unwrap_or(1) as u32;
-    let jit = parse_u64(args, "--jit").unwrap_or(1) != 0;
-    let opt = parse_u64(args, "--opt").unwrap_or(1) != 0;
     let mut skip_next = false;
     let files: Vec<&String> = args
         .iter()
@@ -145,7 +137,7 @@ fn cmd_replay(args: &[String]) -> ExitCode {
                 skip_next = false;
                 return false;
             }
-            if *a == "--shards" || *a == "--jit" || *a == "--opt" {
+            if *a == "--shards" || *a == "--opt" {
                 skip_next = true;
                 return false;
             }
@@ -166,7 +158,7 @@ fn cmd_replay(args: &[String]) -> ExitCode {
                 continue;
             }
         };
-        let scenario = match linuxfp_difftest::DiffScenario::from_json(&text) {
+        let mut scenario = match DiffScenario::from_json(&text) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("difftest: cannot parse {file}: {e}");
@@ -174,20 +166,25 @@ fn cmd_replay(args: &[String]) -> ExitCode {
                 continue;
             }
         };
-        let outcome = linuxfp_difftest::run_with_options(&scenario, shards, jit, opt);
+        override_mode(args, &mut scenario);
+        let outcome = linuxfp_difftest::run(&scenario);
         match &outcome.divergence {
             Some(div) => {
                 failures += 1;
                 eprintln!(
-                    "difftest: {file} ({}) DIVERGED at op {} [{}]: {}",
-                    scenario.name, div.op, div.kind, div.detail
+                    "difftest: {file} ({}) DIVERGED at op {} [{}] ({}): {}",
+                    scenario.name,
+                    div.op,
+                    div.kind,
+                    mode(&scenario),
+                    div.detail
                 );
             }
             None => println!(
-                "difftest: {file} ({}) transparent, {} packets{}",
+                "difftest: {file} ({}) transparent, {} packets ({})",
                 scenario.name,
                 outcome.packets,
-                mode_suffix(shards, jit, opt)
+                mode(&scenario)
             ),
         }
     }

@@ -53,6 +53,7 @@ pub fn generate(seed: u64) -> DiffScenario {
     // Always end with traffic so late churn is observable.
     ops.push(gen_burst(&mut rng, &base, ipvs, dnat, &mut masq_upper));
 
+    let (shards, opt) = gen_mode(seed);
     DiffScenario {
         name: format!("seed-{seed}"),
         seed,
@@ -60,11 +61,24 @@ pub fn generate(seed: u64) -> DiffScenario {
         hook,
         ipvs,
         dnat,
+        shards,
+        opt,
         ops,
     }
 }
 
 const NANOS_PER_SEC: u64 = 1_000_000_000;
+
+/// Salt of the mode stream: "mode" in ASCII.
+const MODE_STREAM: u64 = 0x6D6F_6465;
+
+/// The seed's datapath mode, one of the four `(shards ∈ {1, 4}, opt)`
+/// combinations. Drawn from a stream of its own, so a seed's ops are the
+/// same whatever its mode.
+fn gen_mode(seed: u64) -> (u32, bool) {
+    let draw = SimRng::seed(seed ^ MODE_STREAM).uniform_u64(4);
+    (if draw & 1 == 1 { 4 } else { 1 }, draw & 2 == 0)
+}
 
 fn gen_burst(
     rng: &mut SimRng,

@@ -3,10 +3,12 @@
 //! Every seed deterministically expands into a [`DiffScenario`]: a random
 //! kernel configuration spanning the accelerated subsystems (bridge FDB,
 //! FIB routes, iptables filter + ipset, ipvs, NAT44), a randomized traffic
-//! mix (TCP/UDP/ICMP, ragged bursts, replies, malformed frames), and
+//! mix (TCP/UDP/ICMP, ragged bursts, replies, malformed frames),
 //! interleaved netlink churn (rule flushes, route changes, FPM redeploys
-//! mid-stream). The [`runner`] executes the scenario on a Linux-only
-//! kernel and a LinuxFP kernel side by side and asserts:
+//! mid-stream), and a datapath mode (1 or 4 RSS shards, optimizer on or
+//! off) that a fixture records and a replay, shrink or trace reuses. The
+//! [`runner`] executes the scenario on a Linux-only kernel and a LinuxFP
+//! kernel side by side and asserts:
 //!
 //! - byte-identical emitted frames and delivery/drop sequences per burst,
 //! - identical housekeeping reports,
@@ -23,9 +25,6 @@ pub mod scenario;
 pub mod shrink;
 
 pub use gen::generate;
-pub use runner::{
-    divergence_trace, run, run_with_options, run_with_shards, trace_scenario,
-    trace_scenario_with_shards, Divergence, RunOutcome,
-};
+pub use runner::{divergence_trace, run, trace_scenario, Divergence, RunOutcome};
 pub use scenario::{ChurnOp, DiffScenario, Dir, Op, PacketSpec};
 pub use shrink::shrink;

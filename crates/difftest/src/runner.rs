@@ -412,38 +412,33 @@ impl Side {
     }
 }
 
-/// Runs the scenario on both kernels and reports the first divergence.
+/// The deploy-time half of the scenario's mode: the optimizer runs when
+/// the controller deploys, so `net.linuxfp.opt` must precede its first
+/// poll. With the optimizer off every fast path loads in its naive
+/// synthesized form, which must behave byte-identically (per program,
+/// `crates/ebpf/tests/opt_parity.rs` checks the same).
+fn set_opt(k: &mut Kernel, ds: &DiffScenario) {
+    if !ds.opt {
+        k.sysctl_set("net.linuxfp.opt", 0)
+            .expect("opt sysctl exists");
+    }
+}
+
+/// The per-packet half: both kernels steer over `net.linuxfp.rss_shards`
+/// from the next frame on. Steering only partitions caches and charges
+/// coherence costs, never verdicts, and the RSS hash reads only L3/L4
+/// fields, so the kernels' differing MACs cannot split a flow.
+fn set_shards(k: &mut Kernel, ds: &DiffScenario) {
+    if ds.shards > 1 {
+        k.sysctl_set("net.linuxfp.rss_shards", i64::from(ds.shards))
+            .expect("rss_shards sysctl exists");
+    }
+}
+
+/// Runs the scenario on both kernels, in its datapath mode
+/// ([`DiffScenario::shards`], [`DiffScenario::opt`]), and reports the
+/// first divergence.
 pub fn run(ds: &DiffScenario) -> RunOutcome {
-    run_with_shards(ds, 1)
-}
-
-/// Like [`run`] but steering both kernels across `shards` RSS shards
-/// (`net.linuxfp.rss_shards`). The sharded datapath must stay
-/// byte-identical to the single-core one — steering only partitions
-/// caches and charges coherence costs, never verdicts — so any fixture
-/// or seed that passes unsharded must pass at every shard count. The RSS
-/// hash reads only L3/L4 fields, so the two kernels' differing MACs
-/// cannot steer a flow to different shards.
-pub fn run_with_shards(ds: &DiffScenario, shards: u32) -> RunOutcome {
-    run_with_options(ds, shards, true, true)
-}
-
-/// Like [`run_with_shards`] but also selecting the eBPF execution
-/// engine: `jit = false` clears `net.linuxfp.jit` on both kernels so
-/// every program in the scenario runs on the reference interpreter
-/// instead of its compiled form. The engines are parity-checked at the
-/// instruction level (`crates/ebpf/tests/{jit,alu}_parity.rs`); this
-/// lane closes the loop end-to-end — every fixture and seed must
-/// produce byte-identical outputs and a balanced conservation ledger in
-/// both modes.
-///
-/// `opt = false` clears `net.linuxfp.opt` *before* the controller's
-/// first deploy, so every fast path loads in its naive synthesized
-/// form. The optimizer is equivalence-checked per program
-/// (`crates/ebpf/tests/opt_parity.rs`); this lane proves the whole
-/// scenario — traffic, state churn, redeploys — behaves byte-identically
-/// with and without synthesis-time optimization.
-pub fn run_with_options(ds: &DiffScenario, shards: u32, jit: bool, opt: bool) -> RunOutcome {
     let registry = Registry::new();
     let mut linux = LinuxPlatform::new(ds.base);
     let mut lfp = LinuxFpPlatform::with_telemetry(ds.base, ds.hook, registry.clone());
@@ -456,37 +451,11 @@ pub fn run_with_options(ds: &DiffScenario, shards: u32, jit: bool, opt: bool) ->
 
     configure_extras(linux.kernel_mut(), ds, up_l, down_l);
     configure_extras(lfp.kernel_mut(), ds, up_f, down_f);
-    // The optimizer runs at deploy time, so its sysctl must be in
-    // place before the controller's first poll (the engine sysctls
-    // below are consulted per packet and may follow the deploy).
-    if !opt {
-        linux
-            .kernel_mut()
-            .sysctl_set("net.linuxfp.opt", 0)
-            .expect("opt sysctl exists");
-        lfp.kernel_mut()
-            .sysctl_set("net.linuxfp.opt", 0)
-            .expect("opt sysctl exists");
-    }
+    set_opt(linux.kernel_mut(), ds);
+    set_opt(lfp.kernel_mut(), ds);
     lfp.poll_controller();
-    if shards > 1 {
-        linux
-            .kernel_mut()
-            .sysctl_set("net.linuxfp.rss_shards", i64::from(shards))
-            .expect("rss_shards sysctl exists");
-        lfp.kernel_mut()
-            .sysctl_set("net.linuxfp.rss_shards", i64::from(shards))
-            .expect("rss_shards sysctl exists");
-    }
-    if !jit {
-        linux
-            .kernel_mut()
-            .sysctl_set("net.linuxfp.jit", 0)
-            .expect("jit sysctl exists");
-        lfp.kernel_mut()
-            .sysctl_set("net.linuxfp.jit", 0)
-            .expect("jit sysctl exists");
-    }
+    set_shards(linux.kernel_mut(), ds);
+    set_shards(lfp.kernel_mut(), ds);
 
     let side_l = Side {
         pool: BufferPool::new(),
@@ -659,8 +628,9 @@ pub fn run_with_options(ds: &DiffScenario, shards: u32, jit: bool, opt: bool) ->
 ///
 /// Only `output` divergences have a meaningful per-packet trace;
 /// anything else (ledger, pool growth, housekeeping) returns `None`.
-/// The returned JSON is embedded in shrunk repro fixtures under a
-/// `trace` key, which [`DiffScenario::from_json`] ignores on replay.
+/// The replay runs in the scenario's own mode, like [`run`]. The
+/// returned JSON is embedded in shrunk repro fixtures under a `trace`
+/// key, which [`DiffScenario::from_json`] ignores on replay.
 pub fn divergence_trace(ds: &DiffScenario, div: &Divergence) -> Option<Value> {
     if div.kind != "output" || div.op >= ds.ops.len() {
         return None;
@@ -677,7 +647,11 @@ pub fn divergence_trace(ds: &DiffScenario, div: &Divergence) -> Option<Value> {
     let down_mac = linux.kernel_mut().device(down_l).expect("down").mac;
     configure_extras(linux.kernel_mut(), ds, up_l, down_l);
     configure_extras(lfp.kernel_mut(), ds, up_f, down_f);
+    set_opt(linux.kernel_mut(), ds);
+    set_opt(lfp.kernel_mut(), ds);
     lfp.poll_controller();
+    set_shards(linux.kernel_mut(), ds);
+    set_shards(lfp.kernel_mut(), ds);
 
     let side_l = Side {
         pool: BufferPool::new(),
@@ -774,24 +748,16 @@ pub fn divergence_trace(ds: &DiffScenario, div: &Divergence) -> Option<Value> {
     None
 }
 
-/// Replays the scenario on the accelerated (LinuxFP) kernel alone with
-/// the flight recorder at 1-in-`every` sampling and returns every span
-/// it records, in arrival order. This is the `linuxfp_trace` explain
-/// path: any corpus fixture can be turned into per-packet traces
-/// without touching the comparison machinery.
+/// Replays the scenario, in its own mode, on the accelerated (LinuxFP)
+/// kernel alone with the flight recorder at 1-in-`every` sampling and
+/// returns every span it records, in arrival order. This is the
+/// `linuxfp_trace` explain path: any corpus fixture can be turned into
+/// per-packet traces without touching the comparison machinery. On an
+/// N-shard datapath spans carry the owning shard chosen by RSS steering
+/// and a `coherence` stage attributing the cross-core penalties each
+/// packet paid for shared state another shard (or the control plane)
+/// wrote.
 pub fn trace_scenario(ds: &DiffScenario, every: u64) -> Vec<linuxfp_telemetry::trace::TraceSpan> {
-    trace_scenario_with_shards(ds, every, 1)
-}
-
-/// [`trace_scenario`] on an N-shard datapath: spans carry the owning
-/// shard chosen by RSS steering and, for `shards > 1`, a `coherence`
-/// stage attributing the cross-core penalties each packet paid for
-/// shared state another shard (or the control plane) wrote.
-pub fn trace_scenario_with_shards(
-    ds: &DiffScenario,
-    every: u64,
-    shards: u32,
-) -> Vec<linuxfp_telemetry::trace::TraceSpan> {
     let registry = Registry::new();
     let mut lfp = LinuxFpPlatform::with_telemetry(ds.base, ds.hook, registry);
     let ring = lfp.kernel_mut().enable_flight_recorder(65536, every.max(1));
@@ -799,12 +765,9 @@ pub fn trace_scenario_with_shards(
     let up_mac = lfp.dut_mac();
     let down_mac = lfp.kernel_mut().device(down_f).expect("down").mac;
     configure_extras(lfp.kernel_mut(), ds, up_f, down_f);
+    set_opt(lfp.kernel_mut(), ds);
     lfp.poll_controller();
-    if shards > 1 {
-        lfp.kernel_mut()
-            .sysctl_set("net.linuxfp.rss_shards", i64::from(shards))
-            .expect("rss_shards sysctl");
-    }
+    set_shards(lfp.kernel_mut(), ds);
     let side = Side {
         pool: BufferPool::new(),
         up: up_f,

@@ -209,6 +209,10 @@ pub struct DiffScenario {
     /// Whether a DNAT rule for the public service destination is
     /// configured at start-of-day.
     pub dnat: bool,
+    /// RSS shards both kernels steer over (`net.linuxfp.rss_shards`).
+    pub shards: u32,
+    /// Whether fast paths deploy optimized (`net.linuxfp.opt`).
+    pub opt: bool,
     /// The interleaved traffic / churn / time steps.
     pub ops: Vec<Op>,
 }
@@ -301,6 +305,8 @@ impl DiffScenario {
             "hook": match self.hook { HookPoint::Xdp => "xdp", HookPoint::Tc => "tc" },
             "ipvs": self.ipvs,
             "dnat": self.dnat,
+            "shards": self.shards,
+            "opt": self.opt,
             "ops": ops,
         });
         doc
@@ -336,6 +342,10 @@ impl DiffScenario {
             hook,
             ipvs: field_bool(&doc, "ipvs")?,
             dnat: field_bool(&doc, "dnat")?,
+            // Absent in fixtures recorded before scenarios carried their
+            // mode: those ran in the default one.
+            shards: obj.get("shards").and_then(Value::as_u64).unwrap_or(1) as u32,
+            opt: obj.get("opt").and_then(Value::as_bool).unwrap_or(true),
             ops,
         })
     }
@@ -446,6 +456,8 @@ mod tests {
             hook: HookPoint::Tc,
             ipvs: true,
             dnat: true,
+            shards: 4,
+            opt: false,
             ops: vec![
                 Op::Burst {
                     dir: Dir::Up,
@@ -481,10 +493,22 @@ mod tests {
 
     #[test]
     fn fixture_round_trips() {
+        // A non-default mode (4 shards, optimizer off) survives the trip.
         let s = sample();
         let text = s.to_json();
         let back = DiffScenario::from_json(&text).unwrap();
         assert_eq!(s, back);
+    }
+
+    #[test]
+    fn fixture_without_a_mode_runs_in_the_default_one() {
+        let mut doc = sample().to_json_value();
+        if let Value::Object(obj) = &mut doc {
+            obj.remove("shards");
+            obj.remove("opt");
+        }
+        let back = DiffScenario::from_json(&linuxfp_json::to_string_pretty(&doc)).unwrap();
+        assert_eq!((back.shards, back.opt), (1, true));
     }
 
     #[test]

@@ -2,17 +2,20 @@
 //! deleting ops, then individual packets, re-running after each removal
 //! and keeping any deletion that preserves the divergence. Iterates to a
 //! fixed point, so the result is 1-minimal (no single deletion helps).
+//! Every candidate is a copy of the scenario, so it re-runs in the
+//! scenario's own datapath mode.
 
 use crate::runner;
 use crate::scenario::{DiffScenario, Op};
 
-fn still_diverges(ds: &DiffScenario) -> bool {
-    runner::run(ds).divergence.is_some()
-}
-
 /// Shrinks a diverging scenario. Returns the input unchanged if it does
 /// not actually diverge.
 pub fn shrink(ds: &DiffScenario) -> DiffScenario {
+    shrink_while(ds, |candidate| runner::run(candidate).divergence.is_some())
+}
+
+/// [`shrink`] against any divergence predicate.
+fn shrink_while(ds: &DiffScenario, still_diverges: impl Fn(&DiffScenario) -> bool) -> DiffScenario {
     let mut cur = ds.clone();
     if !still_diverges(&cur) {
         return cur;
@@ -81,4 +84,41 @@ pub fn shrink(ds: &DiffScenario) -> DiffScenario {
     }
     cur.name = format!("{}-shrunk", cur.name);
     cur
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::PacketSpec;
+
+    /// A divergence only a 4-shard, optimizer-off run can see survives
+    /// shrinking, mode and all: every candidate carries the mode.
+    #[test]
+    fn shrinking_keeps_the_mode_that_found_the_divergence() {
+        let mut ds = crate::generate(3);
+        ds.shards = 4;
+        ds.opt = false;
+        let culprit = PacketSpec::Icmp { id: 7 };
+        ds.ops.push(Op::Burst {
+            dir: crate::Dir::Up,
+            packets: vec![PacketSpec::Tcp { flow: 1 }, culprit],
+        });
+        let diverges = |c: &DiffScenario| {
+            c.shards == 4
+                && !c.opt
+                && c.ops
+                    .iter()
+                    .any(|op| matches!(op, Op::Burst { packets, .. } if packets.contains(&culprit)))
+        };
+        let minimal = shrink_while(&ds, diverges);
+        assert_eq!((minimal.shards, minimal.opt), (4, false));
+        assert_eq!(
+            minimal.ops,
+            vec![Op::Burst {
+                dir: crate::Dir::Up,
+                packets: vec![culprit],
+            }]
+        );
+        assert_eq!(minimal.name, format!("{}-shrunk", ds.name));
+    }
 }

@@ -9,12 +9,13 @@
 //! the old or the new program.
 
 use crate::asm::Asm;
+use crate::compile;
 use crate::flowcache::{self, FlowCache, FlowEntry, FlowKey, Probe};
 use crate::helpers::HelperEnv;
 use crate::insn::Action;
 use crate::maps::{MapId, MapStore};
 use crate::program::{LoadedProgram, Program};
-use crate::vm::{self, VmCtx, VmOutcome};
+use crate::vm::{VmCtx, VmOutcome};
 use linuxfp_netstack::device::IfIndex;
 use linuxfp_netstack::stack::{HookFn, HookVerdict, Kernel};
 use linuxfp_netstack::NetError;
@@ -53,11 +54,6 @@ pub struct HookStats {
     pub vm_insns: Counter,
     /// Helper calls made by the program.
     pub helper_calls: Counter,
-    /// Packets served by the load-time-compiled engine
-    /// (`net.linuxfp.jit=1`, the default).
-    pub jit_compiled: Counter,
-    /// Packets served by the reference interpreter (`net.linuxfp.jit=0`).
-    pub jit_fallback: Counter,
     /// Division/modulo-by-zero events observed at runtime (Linux-defined
     /// results, not faults — but worth watching: synthesized code should
     /// never produce them).
@@ -84,14 +80,6 @@ impl HookStats {
         registry.describe("linuxfp_vm_helper_calls_total", "eBPF helper calls made");
         registry.describe("linuxfp_vm_verdicts_total", "eBPF program verdicts by kind");
         registry.describe(
-            "linuxfp_jit_compiled_total",
-            "Packets served by the load-time-compiled eBPF engine",
-        );
-        registry.describe(
-            "linuxfp_jit_fallback_total",
-            "Packets served by the reference eBPF interpreter (net.linuxfp.jit=0)",
-        );
-        registry.describe(
             "linuxfp_vm_div_zero_total",
             "Runtime BPF_DIV/BPF_MOD by zero events (Linux-defined results)",
         );
@@ -117,8 +105,6 @@ impl HookStats {
             vm_insns: registry.counter("linuxfp_vm_insns_total", &[("program", program)]),
             helper_calls: registry
                 .counter("linuxfp_vm_helper_calls_total", &[("program", program)]),
-            jit_compiled: registry.counter("linuxfp_jit_compiled_total", &[("program", program)]),
-            jit_fallback: registry.counter("linuxfp_jit_fallback_total", &[("program", program)]),
             div_zeros: registry.counter("linuxfp_vm_div_zero_total", &[("program", program)]),
             verdict_pass: registry.counter("linuxfp_vm_verdicts_total", &[("verdict", "pass")]),
             verdict_drop: registry.counter("linuxfp_vm_verdicts_total", &[("verdict", "drop")]),
@@ -129,15 +115,10 @@ impl HookStats {
         }
     }
 
-    fn record(&self, out: &VmOutcome, verdict: &HookVerdict, jit: bool) {
+    fn record(&self, out: &VmOutcome, verdict: &HookVerdict) {
         self.vm_insns.add(out.insns_executed);
         self.helper_calls.add(out.helper_calls);
         self.div_zeros.add(out.div_zeros);
-        if jit {
-            self.jit_compiled.inc();
-        } else {
-            self.jit_fallback.inc();
-        }
         self.record_verdict(verdict);
     }
 
@@ -298,9 +279,6 @@ fn hook_fn_inner(
             .wrapping_add(maps.prog_generation());
         let ingress = packet.ingress_ifindex;
         let rx_queue = packet.rx_queue;
-        // Engine selection: compiled dispatch by default, interpreter
-        // when the sysctl forces the reference engine.
-        let jit = kernel.jit_enabled();
         let shard = (rx_queue as usize).min(SHARD_SLOTS - 1);
         let sharded = kernel.rss_shards() > 1;
         let batch_cache = &batch_caches[shard];
@@ -372,7 +350,7 @@ fn hook_fn_inner(
             }
         }
 
-        // ---- miss: interpret (recording helper touches) --------------
+        // ---- miss: run the program (recording helper touches) --------
         // A packet under an unchanged generation runs the slot's program
         // directly, skipping the dispatcher walk (see [`BatchCache`]).
         let cached = dispatch.and_then(|_| {
@@ -424,14 +402,14 @@ fn hook_fn_inner(
                     let cacheable = resolved.cacheable();
                     let name = traced.then(|| resolved.name().to_string());
                     (
-                        vm::execute(&resolved, ctx, env, &maps, &cost, tracker, jit),
+                        compile::run(&resolved, ctx, env, &maps, &cost, tracker),
                         cacheable,
                         name,
                         false,
                     )
                 }
                 None => {
-                    let out = vm::execute(&prog, ctx, env, &maps, &cost, tracker, jit);
+                    let out = compile::run(&prog, ctx, env, &maps, &cost, tracker);
                     let resolved = dispatch.and_then(|(pa, slot)| maps.prog_array_get(pa, slot));
                     let slot_empty = dispatch.is_some() && resolved.is_none();
                     let name = traced.then(|| match &resolved {
@@ -539,7 +517,7 @@ fn hook_fn_inner(
         // Telemetry counters are real atomics with no virtual-time
         // charge: observability must not perturb the modeled costs.
         if let Some(t) = telemetry.lock().unwrap().as_ref() {
-            t.stats.record(&out, &verdict, jit);
+            t.stats.record(&out, &verdict);
         }
         if sharded {
             record_shard_verdict(&telemetry, shard, &verdict);

@@ -16,11 +16,12 @@
 //!   re-verify gate.
 //! - [`program`]: [`program::LoadedProgram`], the verified artifact —
 //!   compiled to direct-threaded form at load time.
-//! - [`vm`]: the reference interpreter, with per-instruction and
-//!   per-helper cost accounting driven by [`linuxfp_sim::CostModel`].
-//! - [`compile`]: the load-time compiler (the simulated kernel JIT);
-//!   the default datapath engine, kept observationally identical to the
-//!   interpreter by the parity suites.
+//! - [`vm`]: the machine state, helpers and per-instruction/per-helper
+//!   cost accounting driven by [`linuxfp_sim::CostModel`], plus the
+//!   reference interpreter the parity suites use as an oracle.
+//! - [`compile`]: the load-time compiler (the simulated kernel JIT) and
+//!   the one engine the datapath runs, held to the interpreter's
+//!   outcomes and costs by the parity suites.
 //! - [`maps`]: hash/array/LPM/program-array maps; program arrays are the
 //!   tail-call mechanism behind atomic data-path swaps.
 //! - [`helpers`]: the [`helpers::HelperEnv`] boundary through which

@@ -1,22 +1,23 @@
-//! The eBPF interpreter: executes verified programs with cycle-accurate
-//! cost accounting and defense-in-depth runtime bounds checks.
+//! The eBPF machine and its reference interpreter: executes verified
+//! programs with cycle-accurate cost accounting and defense-in-depth
+//! runtime bounds checks.
 //!
 //! Registers are plain `u64`s; pointers are tagged by their upper 32 bits
 //! ([`PACKET_BASE`], [`STACK_BASE`], [`CTX_BASE`]), which keeps pointer
 //! arithmetic and comparisons honest machine operations exactly as in
-//! real eBPF. Every instruction charges
-//! [`linuxfp_sim::CostModel::ebpf_insn_ns`]; helpers and tail calls charge
-//! their own calibrated prices, so the cost of a synthesized fast path
-//! *emerges* from the code the synthesizer produced instead of being a
-//! hard-wired constant.
+//! real eBPF. A run charges [`linuxfp_sim::CostModel::jit_insn_ns`] per
+//! executed instruction under the `jit_insn` stage; helpers and tail
+//! calls charge their own calibrated prices, so the cost of a synthesized
+//! fast path *emerges* from the code the synthesizer produced instead of
+//! being a hard-wired constant.
 //!
-//! This interpreter is the *reference oracle*: [`crate::compile`] lowers
-//! the same verified bytecode into a pre-decoded direct-threaded form at
-//! load time (the default datapath, `net.linuxfp.jit=1`), and the parity
-//! tests execute every program through both engines asserting identical
-//! [`VmOutcome`]s — including the final register file — and byte-identical
-//! frames. The shared [`Machine`], [`alu`], [`jump_taken`], and
-//! [`call_helper`] building blocks make divergence structurally hard.
+//! The datapath runs one engine: [`crate::compile`]'s pre-decoded form.
+//! [`run`] here decodes every instruction as it goes and serves no
+//! packets; it is the *reference oracle* the parity suites hold the
+//! compiled engine to — identical [`VmOutcome`]s (final register file
+//! included), byte-identical frames and identical [`CostTracker`]s. The
+//! shared [`Machine`], [`alu`], [`jump_taken`], and [`call_helper`]
+//! building blocks make divergence structurally hard.
 
 use crate::helpers::HelperEnv;
 use crate::insn::{Action, AluOp, HelperId, Insn, JmpCond, MemSize, MAX_TAIL_CALLS, STACK_SIZE};
@@ -259,9 +260,10 @@ fn write_le(b: &mut [u8], value: u64) {
 ///
 /// `maps` provides tail-call program arrays and data maps; `env` is the
 /// kernel (or [`crate::helpers::NullEnv`]); costs are charged to
-/// `tracker`. The production datapath normally runs the compiled form
-/// instead (see [`execute`] and [`crate::compile`]); this function is the
-/// oracle the compiled engine is checked against.
+/// `tracker` at the compiled engine's prices, so the two runs of one
+/// input leave identical trackers. The datapath runs
+/// [`crate::compile::run`]; this function is the oracle it is checked
+/// against.
 pub fn run(
     prog: &LoadedProgram,
     ctx: VmCtx<'_>,
@@ -389,53 +391,16 @@ pub fn run(
     };
     // Counted in the loop, priced here: every exit path pays for exactly
     // the instructions it executed, tail-called programs included.
-    tracker.charge_n("ebpf_insn", cost.ebpf_insn_ns, executed);
+    tracker.charge_n("jit_insn", cost.jit_insn_ns, executed);
     outcome
 }
 
-/// Runs one program over a whole burst of frames.
-///
-/// The program is resolved once for the batch — callers that would
-/// otherwise re-fetch a program-array slot per packet (the dispatcher
-/// pattern) fetch it once and hand the burst here. Outcome `i` and
-/// tracker `i` correspond to `packets[i]`; frames are processed in
-/// order, so helper-visible kernel state (conntrack, FDB) evolves
-/// exactly as under one-at-a-time execution.
-///
-/// # Panics
-///
-/// Panics if `packets` and `trackers` have different lengths.
-#[allow(clippy::too_many_arguments)]
-pub fn run_batch(
-    prog: &LoadedProgram,
-    packets: &mut [linuxfp_packet::PacketBuf],
-    ingress_ifindex: u32,
-    rx_queue: u32,
-    env: &mut dyn HelperEnv,
-    maps: &MapStore,
-    cost: &CostModel,
-    trackers: &mut [CostTracker],
-) -> Vec<VmOutcome> {
-    assert_eq!(packets.len(), trackers.len(), "one tracker per packet");
-    packets
-        .iter_mut()
-        .zip(trackers.iter_mut())
-        .map(|(pkt, tracker)| {
-            let ctx = VmCtx::xdp(pkt, ingress_ifindex, rx_queue);
-            run(prog, ctx, env, maps, cost, tracker)
-        })
-        .collect()
-}
-
-/// Executes a loaded program with the engine selected by `jit`: the
-/// load-time-compiled direct-threaded form (the default datapath,
-/// `net.linuxfp.jit=1`) or the reference interpreter. Both engines are
-/// observationally identical — the parity tests enforce it — but charge
-/// different per-instruction prices
-/// ([`linuxfp_sim::CostModel::jit_insn_ns`] vs
-/// [`linuxfp_sim::CostModel::ebpf_insn_ns`]) under distinct stage names
-/// (`jit_insn` vs `ebpf_insn`) so `CostBreakdown` attributes the dispatch
-/// mode per packet.
+/// The harness entry to either engine: `jit` runs the compiled form
+/// ([`crate::compile::run`], what the datapath runs), otherwise the
+/// reference interpreter ([`run`]). The two are observationally
+/// identical and charge identical costs — the parity suites enforce it —
+/// so the flag only chooses which code a test or host-clock probe
+/// exercises.
 pub fn execute(
     prog: &LoadedProgram,
     ctx: VmCtx<'_>,
@@ -783,7 +748,7 @@ mod tests {
         let (out, t) = run_prog(&prog, &mut pkt);
         assert_eq!(out.action, Action::Drop);
         assert_eq!(out.insns_executed, 2);
-        assert_eq!(t.stage_count("ebpf_insn"), 2);
+        assert_eq!(t.stage_count("jit_insn"), 2);
         assert!(out.error.is_none());
     }
 
@@ -1132,54 +1097,6 @@ mod tests {
         let prog = load(a, "conds");
         let mut pkt = vec![0u8; 64];
         assert_eq!(run_prog(&prog, &mut pkt).0.action, Action::Pass);
-    }
-
-    #[test]
-    fn run_batch_matches_per_packet_runs() {
-        // A program that drops frames whose first byte is odd.
-        let mut a = Asm::new();
-        a.load(MemSize::DW, 2, 1, ctx_layout::DATA as i16);
-        a.load(MemSize::DW, 3, 1, ctx_layout::DATA_END as i16);
-        a.mov_reg(4, 2);
-        a.alu_imm(AluOp::Add, 4, 1);
-        a.jmp_reg(JmpCond::Gt, 4, 3, "pass");
-        a.load(MemSize::B, 5, 2, 0);
-        a.alu_imm(AluOp::And, 5, 1);
-        a.jmp_imm(JmpCond::Eq, 5, 1, "drop");
-        a.label("pass");
-        a.mov_imm(0, Action::Pass.code() as i64);
-        a.exit();
-        a.label("drop");
-        a.mov_imm(0, Action::Drop.code() as i64);
-        a.exit();
-        let prog = load(a, "oddrop");
-        let maps = MapStore::new();
-        let cost = CostModel::calibrated();
-        let mut packets: Vec<linuxfp_packet::PacketBuf> =
-            (0u8..8).map(|i| vec![i; 64].into()).collect();
-        let mut trackers: Vec<CostTracker> = (0..8).map(|_| CostTracker::new()).collect();
-        let outs = run_batch(
-            &prog,
-            &mut packets,
-            1,
-            0,
-            &mut NullEnv,
-            &maps,
-            &cost,
-            &mut trackers,
-        );
-        for (i, out) in outs.iter().enumerate() {
-            let mut single = packets[i].to_vec();
-            let (expect, t) = run_prog(&prog, &mut single);
-            assert_eq!(out.action, expect.action, "packet {i}");
-            assert_eq!(
-                trackers[i].total_ns(),
-                t.total_ns(),
-                "per-packet cost identical"
-            );
-        }
-        assert_eq!(outs[0].action, Action::Pass);
-        assert_eq!(outs[1].action, Action::Drop);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! random straight-line ALU/JMP programs built from sign boundaries,
 //! shift-by-63, wrapping multiplies, and register-sourced div/mod by
 //! zero. Both engines must produce identical [`VmOutcome`]s — the full
-//! final register file included.
+//! final register file included — and identical [`CostTracker`]s.
 //!
 //! Any divergence is shrunk greedily (drop one instruction at a time
 //! while the divergence persists, difftest-style) and written to
@@ -13,7 +13,6 @@
 use std::fs;
 use std::path::PathBuf;
 
-use linuxfp_ebpf::compile;
 use linuxfp_ebpf::helpers::NullEnv;
 use linuxfp_ebpf::insn::{AluOp, Insn, JmpCond};
 use linuxfp_ebpf::maps::MapStore;
@@ -151,21 +150,22 @@ fn rand_program(rng: &mut SimRng) -> Vec<Insn> {
     insns
 }
 
-fn run_engine(prog: &LoadedProgram, jit: bool) -> VmOutcome {
+/// One run's outcome and what it was charged.
+type EngineRun = (VmOutcome, CostTracker);
+
+fn run_engine(prog: &LoadedProgram, jit: bool) -> EngineRun {
     let maps = MapStore::new();
     let cost = CostModel::calibrated();
     let mut tracker = CostTracker::new();
     let mut pkt = vec![0u8; 64];
     let ctx = VmCtx::xdp(&mut pkt, 1, 0);
-    if jit {
-        compile::run(prog, ctx, &mut NullEnv, &maps, &cost, &mut tracker)
-    } else {
-        vm::run(prog, ctx, &mut NullEnv, &maps, &cost, &mut tracker)
-    }
+    let out = vm::execute(prog, ctx, &mut NullEnv, &maps, &cost, &mut tracker, jit);
+    (out, tracker)
 }
 
-/// `Some((interp, compiled))` when the engines disagree.
-fn divergence(insns: &[Insn]) -> Option<(VmOutcome, VmOutcome)> {
+/// `Some((interp, compiled))` when the engines disagree on the outcome
+/// or on the cost.
+fn divergence(insns: &[Insn]) -> Option<(EngineRun, EngineRun)> {
     let prog = LoadedProgram::load(Program::new("alu-fuzz", insns.to_vec())).ok()?;
     let interp = run_engine(&prog, false);
     let compiled = run_engine(&prog, true);
@@ -378,7 +378,7 @@ fn corpus_fixtures_stay_in_parity() {
         // Also pin the Linux div/mod-by-zero semantics: no fixture may
         // abort — zero divisors produce defined results, not faults.
         let prog = LoadedProgram::load(Program::new("fixture", insns)).unwrap();
-        let out = run_engine(&prog, true);
+        let (out, _) = run_engine(&prog, true);
         assert!(
             out.error.is_none(),
             "fixture {} faulted: {:?}",

@@ -206,7 +206,7 @@ fn instruction_costs_add_up() {
         let ctx = VmCtx::xdp(&mut pkt, 1, 0);
         let out = vm::run(&prog, ctx, &mut NullEnv, &maps, &cost, &mut tracker);
         assert_eq!(out.insns_executed, (n + 2) as u64);
-        let expected = (n + 2) as f64 * cost.ebpf_insn_ns;
+        let expected = (n + 2) as f64 * cost.jit_insn_ns;
         assert!((tracker.total_ns() - expected).abs() < 1e-9);
     }
 }

@@ -565,7 +565,6 @@ impl Kernel {
         sysctls.insert("net.ipv4.ip_forward".to_string(), 0);
         sysctls.insert("net.bridge.bridge-nf-call-iptables".to_string(), 0);
         sysctls.insert("net.linuxfp.flow_cache".to_string(), 1);
-        sysctls.insert("net.linuxfp.jit".to_string(), 1);
         sysctls.insert("net.linuxfp.opt".to_string(), 1);
         sysctls.insert("net.linuxfp.trace_sample".to_string(), 0);
         sysctls.insert("net.linuxfp.rss_shards".to_string(), 1);
@@ -1164,15 +1163,6 @@ impl Kernel {
     /// (`net.linuxfp.flow_cache`, default on).
     pub fn flow_cache_enabled(&self) -> bool {
         self.sysctl_get("net.linuxfp.flow_cache") == Some(1)
-    }
-
-    /// Whether attached programs run in their load-time-compiled
-    /// (direct-threaded) form (`net.linuxfp.jit`, default on — mirroring
-    /// `net.core.bpf_jit_enable` on production kernels). Turning it off
-    /// falls back to the reference interpreter, which must be
-    /// observationally identical and only slower.
-    pub fn jit_enabled(&self) -> bool {
-        self.sysctl_get("net.linuxfp.jit") == Some(1)
     }
 
     /// Whether synthesized programs are run through the bytecode

@@ -15,15 +15,16 @@
 //!   --json      machine-readable output (spans + breakdown)
 //!   --every N   sample 1-in-N packets (default 1: trace everything)
 //!   --seq I     print only the span with sequence number I
-//!   --shards N  replay on an N-shard datapath (default 1); spans then
-//!               carry the owning shard and a `coherence` stage showing
-//!               cross-core penalties in the breakdown
+//!   --shards N  replay on an N-shard datapath (default: the fixture's
+//!               recorded mode); spans then carry the owning shard and a
+//!               `coherence` stage showing cross-core penalties in the
+//!               breakdown
 //! ```
 //!
 //! Exit status is 2 on usage or parse errors, 1 if no packet was
 //! sampled, 0 otherwise.
 
-use linuxfp_difftest::{trace_scenario_with_shards, DiffScenario};
+use linuxfp_difftest::{trace_scenario, DiffScenario};
 use linuxfp_json::{json, Value};
 use linuxfp_telemetry::trace::{CostBreakdown, TraceEvent, TraceSpan};
 use std::collections::BTreeMap;
@@ -36,9 +37,7 @@ fn main() -> ExitCode {
         .and_then(|v| v.parse::<u64>().ok())
         .unwrap_or(1);
     let seq = flag_value(&args, "--seq").and_then(|v| v.parse::<u64>().ok());
-    let shards = flag_value(&args, "--shards")
-        .and_then(|v| v.parse::<u32>().ok())
-        .unwrap_or(1);
+    let shards = flag_value(&args, "--shards").and_then(|v| v.parse::<u32>().ok());
     let Some(path) = args
         .iter()
         .filter(|a| !a.starts_with("--"))
@@ -55,15 +54,18 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let scenario = match DiffScenario::from_json(&text) {
+    let mut scenario = match DiffScenario::from_json(&text) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("linuxfp_trace: cannot parse {path}: {e}");
             return ExitCode::from(2);
         }
     };
+    if let Some(shards) = shards {
+        scenario.shards = shards;
+    }
 
-    let mut spans = trace_scenario_with_shards(&scenario, every, shards);
+    let mut spans = trace_scenario(&scenario, every);
     if let Some(want) = seq {
         spans.retain(|s| s.seq == want);
     }

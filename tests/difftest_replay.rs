@@ -2,31 +2,46 @@
 //!
 //! Every fixture under `tests/difftest_corpus/` is a shrunk repro of a
 //! divergence the fuzzer once found (each named after the bug it
-//! demonstrates); replaying them pins the fixes. The smoke test then
-//! runs a band of freshly generated seeds end to end.
+//! demonstrates); replaying them, in the mode each recorded, pins the
+//! fixes. The smoke test then runs a band of freshly generated seeds end
+//! to end, each in the datapath mode its seed draws.
 
-use linuxfp_difftest::{
-    divergence_trace, generate, run, run_with_options, DiffScenario, Divergence,
-};
+use linuxfp_difftest::{divergence_trace, generate, run, DiffScenario, Divergence};
+use std::collections::HashSet;
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/difftest_corpus")
 }
 
-#[test]
-fn every_corpus_fixture_replays_transparent() {
-    let mut replayed = 0;
+/// Every corpus fixture, parsed, in file-name order.
+fn corpus() -> Vec<(PathBuf, DiffScenario)> {
     let mut entries: Vec<_> = std::fs::read_dir(corpus_dir())
         .expect("corpus directory exists")
         .map(|e| e.expect("readable entry").path())
         .filter(|p| p.extension().is_some_and(|e| e == "json"))
         .collect();
     entries.sort();
-    for path in entries {
-        let text = std::fs::read_to_string(&path).expect("readable fixture");
-        let scenario =
-            DiffScenario::from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let fixtures: Vec<_> = entries
+        .into_iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(&path).expect("readable fixture");
+            let scenario = DiffScenario::from_json(&text)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            (path, scenario)
+        })
+        .collect();
+    assert!(
+        fixtures.len() >= 3,
+        "corpus unexpectedly small: {}",
+        fixtures.len()
+    );
+    fixtures
+}
+
+#[test]
+fn every_corpus_fixture_replays_transparent() {
+    for (path, scenario) in corpus() {
         let outcome = run(&scenario);
         assert!(
             outcome.transparent(),
@@ -35,57 +50,19 @@ fn every_corpus_fixture_replays_transparent() {
             scenario.name,
             outcome.divergence
         );
-        replayed += 1;
     }
-    assert!(replayed >= 3, "corpus unexpectedly small: {replayed}");
 }
 
-/// The interpreter lane: every corpus fixture must also replay
-/// transparently with `net.linuxfp.jit=0` on both kernels — the fixed
-/// bugs stay fixed regardless of which engine serves the programs.
-#[test]
-fn every_corpus_fixture_replays_transparent_without_jit() {
-    let mut replayed = 0;
-    let mut entries: Vec<_> = std::fs::read_dir(corpus_dir())
-        .expect("corpus directory exists")
-        .map(|e| e.expect("readable entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "json"))
-        .collect();
-    entries.sort();
-    for path in entries {
-        let text = std::fs::read_to_string(&path).expect("readable fixture");
-        let scenario =
-            DiffScenario::from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let outcome = run_with_options(&scenario, 1, false, true);
-        assert!(
-            outcome.transparent(),
-            "{} ({}) diverged with jit off: {:?}",
-            path.display(),
-            scenario.name,
-            outcome.divergence
-        );
-        replayed += 1;
-    }
-    assert!(replayed >= 3, "corpus unexpectedly small: {replayed}");
-}
-
-/// The optimizer lane: every corpus fixture must also replay
+/// The optimizer override: every corpus fixture must also replay
 /// transparently with `net.linuxfp.opt=0` on both kernels — the fixed
 /// bugs stay fixed whether the programs load naive or shrunk.
 #[test]
 fn every_corpus_fixture_replays_transparent_without_opt() {
-    let mut replayed = 0;
-    let mut entries: Vec<_> = std::fs::read_dir(corpus_dir())
-        .expect("corpus directory exists")
-        .map(|e| e.expect("readable entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "json"))
-        .collect();
-    entries.sort();
-    for path in entries {
-        let text = std::fs::read_to_string(&path).expect("readable fixture");
-        let scenario =
-            DiffScenario::from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let outcome = run_with_options(&scenario, 1, true, false);
+    for (path, scenario) in corpus() {
+        let outcome = run(&DiffScenario {
+            opt: false,
+            ..scenario.clone()
+        });
         assert!(
             outcome.transparent(),
             "{} ({}) diverged with opt off: {:?}",
@@ -93,9 +70,7 @@ fn every_corpus_fixture_replays_transparent_without_opt() {
             scenario.name,
             outcome.divergence
         );
-        replayed += 1;
     }
-    assert!(replayed >= 3, "corpus unexpectedly small: {replayed}");
 }
 
 #[test]
@@ -142,47 +117,43 @@ fn divergence_trace_captures_both_kernels() {
 
 #[test]
 fn seeded_scenarios_stay_transparent() {
-    // A smoke band; CI sweeps a much larger range via scripts/ci.sh.
+    // A smoke band over every datapath mode; CI sweeps a much larger
+    // range via scripts/ci.sh.
     let mut packets = 0;
-    for seed in 0..25 {
+    let mut modes = HashSet::new();
+    for seed in 0..50 {
         let scenario = generate(seed);
+        modes.insert((scenario.shards, scenario.opt));
         let outcome = run(&scenario);
         assert!(
             outcome.transparent(),
-            "seed {seed} diverged: {:?}",
+            "seed {seed} (rss_shards={}, opt={}) diverged: {:?}",
+            scenario.shards,
+            scenario.opt,
             outcome.divergence
         );
         packets += outcome.packets;
     }
-    assert!(packets > 500, "smoke band suspiciously small: {packets}");
-}
-
-#[test]
-fn seeded_scenarios_stay_transparent_without_jit() {
-    // Same smoke band on the reference interpreter; CI sweeps 200 seeds
-    // in each mode via scripts/ci.sh.
-    for seed in 0..25 {
-        let scenario = generate(seed);
-        let outcome = run_with_options(&scenario, 1, false, true);
-        assert!(
-            outcome.transparent(),
-            "seed {seed} diverged with jit off: {:?}",
-            outcome.divergence
-        );
-    }
+    assert!(packets > 1000, "smoke band suspiciously small: {packets}");
+    assert_eq!(modes.len(), 4, "band misses a mode: {modes:?}");
 }
 
 #[test]
 fn seeded_scenarios_stay_transparent_without_opt() {
-    // Same smoke band with the bytecode optimizer off — the naive
-    // synthesized programs must stay byte-identical to the slow path
-    // too; CI sweeps 200 seeds in this mode via scripts/ci.sh.
+    // Same smoke band with the bytecode optimizer forced off, whatever
+    // each seed drew — the naive synthesized programs must stay
+    // byte-identical to the slow path too; CI sweeps 200 seeds in this
+    // mode via scripts/ci.sh.
     for seed in 0..25 {
-        let scenario = generate(seed);
-        let outcome = run_with_options(&scenario, 1, true, false);
+        let scenario = DiffScenario {
+            opt: false,
+            ..generate(seed)
+        };
+        let outcome = run(&scenario);
         assert!(
             outcome.transparent(),
-            "seed {seed} diverged with opt off: {:?}",
+            "seed {seed} (rss_shards={}) diverged with opt off: {:?}",
+            scenario.shards,
             outcome.divergence
         );
     }

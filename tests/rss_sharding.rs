@@ -257,8 +257,9 @@ fn sharded_difftest_seeds_stay_transparent() {
     // churn mid-stream) under a sharded datapath: linux-vs-linuxfp
     // transparency must hold with both kernels steering over 4 shards.
     for seed in 0..12u64 {
-        let scenario = linuxfp_difftest::generate(seed);
-        let out = linuxfp_difftest::run_with_shards(&scenario, 4);
+        let mut scenario = linuxfp_difftest::generate(seed);
+        scenario.shards = 4;
+        let out = linuxfp_difftest::run(&scenario);
         assert!(
             out.divergence.is_none(),
             "seed {seed} diverged under rss_shards=4: {:?}",

@@ -1,8 +1,8 @@
 //! Virtual time is a contract: what one packet is charged on the warm
-//! router and on the 100-rule gateway, under either engine, is pinned
-//! here to the last bit. How charges are summed (per item or counted
-//! and priced once, `f64` or fixed point) may change; these totals and
-//! the per-stage counts behind them may not.
+//! router and on the 100-rule gateway is pinned here to the last bit.
+//! How charges are summed (per item or counted and priced once, `f64` or
+//! fixed point) may change; these totals and the per-stage counts behind
+//! them may not.
 
 use linuxfp::netstack::stack::RxOutcome;
 use linuxfp::packet::{Batch, PacketBuf};
@@ -19,22 +19,15 @@ type Pin = (f64, (u64, f64), (u64, f64));
 struct Dut {
     platform: LinuxFpPlatform,
     scenario: Scenario,
-    engine_stage: &'static str,
 }
 
 impl Dut {
     /// A deployed platform with the dispatcher's one-off slot resolution
     /// already taken by another flow.
-    fn warm(scenario: Scenario, jit: bool) -> Self {
-        let mut platform = LinuxFpPlatform::new(scenario);
-        platform
-            .kernel_mut()
-            .sysctl_set("net.linuxfp.jit", i64::from(jit))
-            .expect("jit sysctl exists");
+    fn warm(scenario: Scenario) -> Self {
         let mut g = Dut {
-            platform,
+            platform: LinuxFpPlatform::new(scenario),
             scenario,
-            engine_stage: if jit { "jit_insn" } else { "ebpf_insn" },
         };
         g.packet(0);
         g
@@ -44,13 +37,9 @@ impl Dut {
         self.scenario.frame(self.platform.dut_mac(), flow, 60)
     }
 
-    fn pin(&self, cost: &CostTracker) -> Pin {
+    fn pin(cost: &CostTracker) -> Pin {
         let stage = |s: &str| (cost.stage_count(s), cost.stage_ns(s));
-        (
-            cost.total_ns(),
-            stage(self.engine_stage),
-            stage("nf_rule_match"),
-        )
+        (cost.total_ns(), stage("jit_insn"), stage("nf_rule_match"))
     }
 
     fn forwarded(out: &RxOutcome) {
@@ -60,7 +49,7 @@ impl Dut {
     fn packet(&mut self, flow: u64) -> Pin {
         let out = self.platform.process(self.frame(flow));
         Self::forwarded(&out);
-        self.pin(&out.cost)
+        Self::pin(&out.cost)
     }
 
     /// One burst of `BURST` consecutive flows from `first`, amortized
@@ -74,47 +63,33 @@ impl Dut {
         out.outcomes.iter().for_each(Self::forwarded);
         let mut cost = out.batch_cost.clone();
         out.outcomes.iter().for_each(|o| cost.merge(&o.cost));
-        self.pin(&cost)
+        Self::pin(&cost)
     }
 }
 
 #[test]
 fn per_packet_virtual_totals_are_pinned() {
-    // (scenario, jit, a flow's first packet, a burst of new flows). A
-    // flow is recorded on its second sighting, which costs exactly what
-    // the first did; the third packet and the third burst hit the flow
-    // cache and cost the same everywhere.
+    // (scenario, a flow's first packet, a burst of new flows). A flow is
+    // recorded on its second sighting, which costs exactly what the first
+    // did; the third packet and the third burst hit the flow cache and
+    // cost the same everywhere.
     let hit: Pin = (316.0, (0, 0.0), (0, 0.0));
     let burst_hit: Pin = (7880.0, (0, 0.0), (0, 0.0));
-    let cases: [(Scenario, bool, Pin, Pin); 4] = [
+    let cases: [(Scenario, Pin, Pin); 2] = [
         (
             Scenario::router(),
-            true,
             (556.0, (70, 70.0), (0, 0.0)),
             (15560.0, (2240, 2240.0), (0, 0.0)),
         ),
         (
-            Scenario::router(),
-            false,
-            (696.0, (70, 210.0), (0, 0.0)),
-            (20040.0, (2240, 6720.0), (0, 0.0)),
-        ),
-        (
             Scenario::gateway(),
-            true,
             (1644.0, (103, 103.0), (100, 1000.0)),
             (50376.0, (3296, 3296.0), (3200, 32000.0)),
         ),
-        (
-            Scenario::gateway(),
-            false,
-            (1850.0, (103, 309.0), (100, 1000.0)),
-            (56968.0, (3296, 9888.0), (3200, 32000.0)),
-        ),
     ];
-    for (scenario, jit, miss, burst_miss) in cases {
-        let what = format!("{} rules, jit {jit}", scenario.filter_rules);
-        let mut g = Dut::warm(scenario, jit);
+    for (scenario, miss, burst_miss) in cases {
+        let what = format!("{} rules", scenario.filter_rules);
+        let mut g = Dut::warm(scenario);
         assert_eq!(
             (g.packet(7), g.packet(7), g.packet(7)),
             (miss, miss, hit),
