@@ -102,6 +102,8 @@ pub struct Controller {
     subscription: SubscriberId,
     deployer: Deployer,
     graph: Value,
+    /// FPM instances synthesized from `graph`.
+    fpm_count: usize,
 }
 
 impl Controller {
@@ -144,6 +146,7 @@ impl Controller {
             subscription,
             deployer,
             graph: Value::Null,
+            fpm_count: 0,
         };
         let report = controller.sync(kernel, vec![Trigger::Startup])?;
         Ok((controller, report))
@@ -281,13 +284,22 @@ impl Controller {
             reg.counter("linuxfp_graph_rebuilds_total", &[]).inc();
         }
 
-        // The pipeline regenerates on every observed state change (as the
-        // paper's Jinja-template + clang pipeline does); unchanged
-        // programs are detected at the end and left untouched, so only
-        // changed ones pay verification + load.
-        let fps = synthesize_with_customs(&graph, &self.cfg.custom_modules)
-            .map_err(|e| DeployError::Device(e.to_string()))?;
-        let fpm_count: usize = fps.iter().map(|fp| fp.fpm_count).sum();
+        // The model charges regeneration on every observed state change
+        // (as the paper's Jinja-template + clang pipeline runs it), but
+        // synthesis is a pure function of the graph and the custom
+        // modules (a module change resets the graph): an unchanged graph
+        // is not resynthesized, and is charged with the FPM count its
+        // installed programs were synthesized with. For a changed graph
+        // the deployer skips programs whose instructions did not change.
+        let unchanged = graph == self.graph;
+        let (fps, fpm_count) = if unchanged {
+            (Vec::new(), self.fpm_count)
+        } else {
+            let fps = synthesize_with_customs(&graph, &self.cfg.custom_modules)
+                .map_err(|e| DeployError::Device(e.to_string()))?;
+            let fpm_count = fps.iter().map(|fp| fp.fpm_count).sum();
+            (fps, fpm_count)
+        };
         charge(
             &mut stages,
             "synthesize",
@@ -304,7 +316,7 @@ impl Controller {
             cost.ctrl_compile_base_ns + cost.ctrl_compile_per_fpm_ns * fpm_count as f64,
         );
 
-        if graph == self.graph {
+        if unchanged {
             let reaction = stages.iter().map(|(_, ns)| *ns).sum();
             self.record_reconcile(&triggers, reaction, false);
             return Ok(ReactionReport {
@@ -327,6 +339,7 @@ impl Controller {
         charge(&mut stages, "swap", cost.ctrl_swap_ns);
 
         self.graph = graph;
+        self.fpm_count = fpm_count;
         let reaction = stages.iter().map(|(_, ns)| *ns).sum();
         self.record_reconcile(&triggers, reaction, true);
         Ok(ReactionReport {
@@ -448,6 +461,36 @@ mod tests {
         assert!(report.installed.is_empty());
         // No events at all -> no report.
         assert!(ctrl.poll(&mut k).unwrap().is_none());
+    }
+
+    #[test]
+    fn an_unchanged_graph_is_charged_as_the_synthesis_it_skips() {
+        let (mut k, eth0, eth1) = base_kernel();
+        let (mut ctrl, _) = Controller::attach(&mut k, ControllerConfig::default()).unwrap();
+        k.ip_addr_add(eth0, "10.0.1.1/24".parse::<IfAddr>().unwrap())
+            .unwrap();
+        k.ip_addr_add(eth1, "10.0.2.1/24".parse::<IfAddr>().unwrap())
+            .unwrap();
+        k.sysctl_set("net.ipv4.ip_forward", 1).unwrap();
+        let deployed = ctrl.poll(&mut k).unwrap().unwrap();
+        assert!(deployed.changed);
+        // Same trigger class, same graph: nothing is synthesized, and the
+        // model charges what synthesizing it would have cost.
+        k.sysctl_set("net.ipv4.ip_forward", 1).unwrap();
+        let noop = ctrl.poll(&mut k).unwrap().unwrap();
+        assert!(!noop.changed);
+        assert_eq!(noop.fpm_count, deployed.fpm_count);
+        let charge = |r: &ReactionReport, stage: &str| {
+            r.stages
+                .iter()
+                .find(|(s, _)| *s == stage)
+                .map(|(_, ns)| *ns)
+        };
+        for stage in ["synthesize", "optimize", "compile"] {
+            assert!(charge(&noop, stage).is_some(), "{stage}");
+            assert_eq!(charge(&noop, stage), charge(&deployed, stage), "{stage}");
+        }
+        assert_eq!(charge(&noop, "verify_load"), None);
     }
 
     #[test]

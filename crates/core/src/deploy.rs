@@ -11,8 +11,8 @@ use crate::synth::SynthesizedFp;
 use linuxfp_ebpf::hook::{Dispatcher, HookPoint};
 use linuxfp_ebpf::maps::MapStore;
 use linuxfp_ebpf::opt;
-use linuxfp_ebpf::program::{LoadedProgram, Program};
-use linuxfp_ebpf::verifier::VerifyError;
+use linuxfp_ebpf::program::LoadedProgram;
+use linuxfp_ebpf::verifier::{Verified, VerifyError};
 use linuxfp_netstack::device::IfIndex;
 use linuxfp_netstack::stack::Kernel;
 use linuxfp_netstack::NetError;
@@ -188,23 +188,29 @@ impl Deployer {
 
         for fp in fps {
             // Run the synthesized program through the bytecode
-            // optimizer (sysctl-gated) before verification: the
-            // verifier and the load-time JIT then see the shrunk form.
-            // The optimizer re-verifies its output and falls back to
-            // the input on any failure, so this cannot turn a loadable
-            // program into a rejected one.
-            let (effective, stats) = if kernel.opt_enabled() {
-                let (insns, stats) = opt::optimize(&fp.program.insns);
-                (insns, Some(stats))
+            // optimizer (sysctl-gated) before loading: the load-time
+            // JIT then sees the shrunk form. The optimizer verifies its
+            // input and its output, falls back to the input on any
+            // failure, and hands back the verifier's proof of what it
+            // returns — so a program is verified at most twice, and
+            // the optimizer cannot turn a loadable program into a
+            // rejected one.
+            let (checked, stats) = if kernel.opt_enabled() {
+                let (checked, stats) = opt::optimize_verified(&fp.program.insns);
+                (Some(checked), Some(stats))
             } else {
-                (fp.program.insns.clone(), None)
+                (None, None)
+            };
+            let effective = match &checked {
+                Some(Ok(verified)) => verified.insns(),
+                _ => fp.program.insns.as_slice(),
             };
             // Unchanged program: leave the running data path alone (no
-            // verify/load/swap cost, no disturbance). Compared against
-            // the *effective* instructions, so flipping the sysctl
+            // load/swap cost, no disturbance). Compared against the
+            // *effective* instructions, so flipping the sysctl
             // redeploys on the next controller pass.
             if let Some(current) = self.installed(fp.ifindex) {
-                if current.insns() == effective.as_slice() {
+                if current.insns() == effective {
                     outcome.installed.push((fp.ifname.clone(), current.len()));
                     continue;
                 }
@@ -226,13 +232,14 @@ impl Deployer {
                 .set(effective.len() as i64);
             }
             outcome.opt_removed += stats.map_or(0, |s| s.removed());
-            let program = Program::new(fp.program.name.clone(), effective);
-            let loaded = match LoadedProgram::load(program) {
-                Ok(loaded) => {
+            // With the optimizer off, this is the one verification.
+            let checked = checked.unwrap_or_else(|| Verified::new(fp.program.insns.clone()));
+            let loaded = match checked {
+                Ok(verified) => {
                     if let Some(reg) = &self.telemetry {
                         reg.counter("linuxfp_verifier_accepted_total", &[]).inc();
                     }
-                    loaded
+                    LoadedProgram::from_verified(fp.program.name.clone(), verified)
                 }
                 Err(error) => {
                     if let Some(reg) = &self.telemetry {

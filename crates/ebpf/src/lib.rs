@@ -56,6 +56,7 @@ pub mod opt;
 pub mod program;
 pub mod verifier;
 pub mod vm;
+mod walk;
 
 pub use asm::Asm;
 pub use compile::CompiledProgram;

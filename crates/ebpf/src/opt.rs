@@ -51,8 +51,9 @@
 //! whole pipeline is deterministic.
 
 use crate::insn::{AluOp, Insn, JmpCond, MemSize, NUM_REGS, REG_FP};
-use crate::verifier;
+use crate::verifier::{Verified, VerifyError};
 use crate::vm;
+use crate::walk::Pending;
 
 /// Dead instructions are first replaced by this marker — an
 /// unconditional jump to the next instruction, i.e. a semantic no-op —
@@ -90,43 +91,92 @@ impl OptStats {
 /// unchanged (with `before == after`). The function is deterministic:
 /// identical inputs produce identical outputs.
 pub fn optimize(insns: &[Insn]) -> (Vec<Insn>, OptStats) {
+    let (checked, stats) = optimize_verified(insns);
+    let out = checked.map_or_else(|_| insns.to_vec(), Verified::into_insns);
+    (out, stats)
+}
+
+/// [`optimize`], keeping the verifier's proof of what it returns. The
+/// input is verified once and the optimized form once; the result is
+/// whichever of the two is returned, so loading it with
+/// [`crate::program::LoadedProgram::from_verified`] verifies nothing a
+/// third time. The error is the input's own verification failure; the
+/// stats are those [`optimize`] reports.
+pub fn optimize_verified(insns: &[Insn]) -> (Result<Verified, VerifyError>, OptStats) {
     let before = insns.len();
     let unchanged = OptStats {
         before,
         after: before,
         rounds: 0,
     };
-    if verifier::verify(insns).is_err() {
-        return (insns.to_vec(), unchanged);
-    }
+    let input = match Verified::new(insns.to_vec()) {
+        Ok(input) => input,
+        Err(e) => return (Err(e), unchanged),
+    };
     let mut cur = insns.to_vec();
+    let rounds = run_rounds(&mut cur);
+    if cur.len() < before {
+        if let Ok(out) = Verified::new(cur) {
+            let after = out.insns().len();
+            return (
+                Ok(out),
+                OptStats {
+                    before,
+                    after,
+                    rounds,
+                },
+            );
+        }
+    }
+    (Ok(input), unchanged)
+}
+
+/// Runs the pass pipeline to its fixpoint (or [`MAX_ROUNDS`]) and
+/// returns the number of rounds that changed something.
+fn run_rounds(cur: &mut Vec<Insn>) -> usize {
+    let mut work = Work::default();
+    liveness(cur, &mut work.live);
     let mut rounds = 0;
     for _ in 0..MAX_ROUNDS {
+        jump_targets(cur, &mut work.targets);
         let mut changed = false;
-        changed |= widen_checksum_loops(&mut cur);
-        changed |= collapse_ttl_update(&mut cur);
-        changed |= forward_pass(&mut cur);
-        changed |= dse(&mut cur);
-        changed |= thread_jumps(&mut cur);
-        changed |= compact(&mut cur);
+        changed |= widen_checksum_loops(cur, &work.live, &mut work.targets);
+        changed |= collapse_ttl_update(cur, &work.live, &mut work.targets);
+        changed |= forward_pass(cur, &work.targets, &mut work.walk);
+        changed |= dse(cur, &mut work.live, &mut work.dse_live);
+        changed |= thread_jumps(cur);
+        changed |= compact(cur, &mut work.live, &mut work.newpos);
         if !changed {
             break;
         }
         rounds += 1;
     }
-    if cur.len() < before && verifier::verify(&cur).is_ok() {
-        let after = cur.len();
-        (
-            cur,
-            OptStats {
-                before,
-                after,
-                rounds,
-            },
-        )
-    } else {
-        (insns.to_vec(), unchanged)
-    }
+    rounds
+}
+
+/// The analyses the passes of a round share, and the buffers the passes
+/// reuse from round to round.
+///
+/// `live` is swept once before the first round. After that it never
+/// needs a sweep of its own: [`dse`] decides from the liveness of its
+/// input and, in the same backward sweep, leaves the liveness of its
+/// output in `live`; [`thread_jumps`] preserves every live-in set and
+/// [`compact`] re-indexes them, so the next round's idiom matchers read
+/// exactly what a fresh sweep would give. `targets` is marked once per
+/// round, and the idiom rewrites mark the no-ops they write, so
+/// [`forward_pass`] sees the program as it finds it.
+#[derive(Default)]
+struct Work {
+    /// Live-in register set per instruction.
+    live: Vec<u16>,
+    /// The liveness of [`dse`]'s input, which its decisions read.
+    dse_live: Vec<u16>,
+    /// Whether some jump lands on each pc (plus one slot past the end).
+    targets: Vec<bool>,
+    /// [`compact`]'s old-to-new index map.
+    newpos: Vec<usize>,
+    /// [`forward_pass`]'s pending jump states and availability table.
+    walk: WalkBufs,
 }
 
 // ---------------------------------------------------------------------------
@@ -192,18 +242,21 @@ fn uses_defs(insn: Insn) -> (u16, u16) {
     }
 }
 
-/// Live-in register sets (bitmask per instruction), computed in one
-/// reverse sweep — sound because verified programs only jump forward,
-/// so every successor of `pc` is greater than `pc`.
-fn liveness(insns: &[Insn]) -> Vec<u16> {
-    let n = insns.len();
-    let mut live = vec![0u16; n];
-    for pc in (0..n).rev() {
-        let out = live_out(insns, &live, pc);
-        let (uses, defs) = uses_defs(insns[pc]);
-        live[pc] = uses | (out & !defs);
+/// Live-in register sets (bitmask per instruction), computed into `live`
+/// in one reverse sweep — sound because verified programs only jump
+/// forward, so every successor of `pc` is greater than `pc`.
+fn liveness(insns: &[Insn], live: &mut Vec<u16>) {
+    live.clear();
+    live.resize(insns.len(), 0);
+    for pc in (0..insns.len()).rev() {
+        live[pc] = live_in(insns[pc], live_out(insns, live, pc));
     }
-    live
+}
+
+/// Live-in set of `insn` given its live-out set.
+fn live_in(insn: Insn, out: u16) -> u16 {
+    let (uses, defs) = uses_defs(insn);
+    uses | (out & !defs)
 }
 
 /// Union of live-in sets over the successors of `pc`.
@@ -223,11 +276,13 @@ fn live_out(insns: &[Insn], live: &[u16], pc: usize) -> u16 {
     out
 }
 
-/// Marks every instruction that is the taken-target of some jump.
-/// Merge points invalidate straight-line assumptions (the CSE table)
-/// and idiom matchers refuse patterns that are jumped into.
-fn jump_targets(insns: &[Insn]) -> Vec<bool> {
-    let mut tgt = vec![false; insns.len() + 1];
+/// Marks into `tgt` every instruction that is the taken-target of some
+/// jump (a [`NOP`] marks the instruction after it). Merge points
+/// invalidate straight-line assumptions (the CSE table) and idiom
+/// matchers refuse patterns that are jumped into.
+fn jump_targets(insns: &[Insn], tgt: &mut Vec<bool>) {
+    tgt.clear();
+    tgt.resize(insns.len() + 1, false);
     for pc in 0..insns.len() {
         if let (_, Some(t)) = successors(insns, pc) {
             if t < tgt.len() {
@@ -235,7 +290,15 @@ fn jump_targets(insns: &[Insn]) -> Vec<bool> {
             }
         }
     }
-    tgt
+}
+
+/// Turns `insns[range]` into [`NOP`]s for [`compact`], marking in `tgt`
+/// the instruction after each one, as [`jump_targets`] would now.
+fn nop_out(insns: &mut [Insn], range: std::ops::Range<usize>, tgt: &mut [bool]) {
+    for pc in range {
+        insns[pc] = NOP;
+        tgt[pc + 1] = true;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -282,50 +345,71 @@ fn overlaps(a_off: i64, a_len: i64, b_off: i64, b_len: i64) -> bool {
     a_off < b_off + b_len && b_off < a_off + a_len
 }
 
+/// Buffers [`forward_pass`] reuses across rounds.
+#[derive(Default)]
+struct WalkBufs {
+    pending: Pending<RegState>,
+    cse: Vec<CseEntry>,
+}
+
+/// A fresh opaque value, unequal to every value before it.
+fn fresh(ctr: &mut u32) -> AbsVal {
+    *ctr += 1;
+    AbsVal::Top(*ctr)
+}
+
 /// The main forward sweep. Verified programs form a DAG (forward jumps
 /// only), so one pass in pc order with a join at merge points reaches
-/// the same fixpoint iteration would. Rewrites are decided from the
-/// in-state of each instruction and applied in place; dead and
-/// unreachable instructions become [`NOP`]s for [`compact`].
+/// the same fixpoint iteration would; the walk ([`crate::walk`]) carries
+/// the fall-through state in place and keeps states only at pending
+/// jump targets. Rewrites are decided from the in-state of each
+/// instruction and applied in place; dead and unreachable instructions
+/// become [`NOP`]s for [`compact`]. `is_target` is [`jump_targets`] of
+/// the program as the pass finds it.
 #[allow(clippy::too_many_lines)]
-fn forward_pass(insns: &mut [Insn]) -> bool {
+fn forward_pass(insns: &mut [Insn], is_target: &[bool], bufs: &mut WalkBufs) -> bool {
     let n = insns.len();
-    let is_target = jump_targets(insns);
     let mut ctr: u32 = 0;
-    let mut fresh = |ctr: &mut u32| {
-        *ctr += 1;
-        AbsVal::Top(*ctr)
-    };
-    let mut states: Vec<Option<RegState>> = vec![None; n];
-    let mut entry = [AbsVal::Top(0); NUM_REGS];
-    for slot in entry.iter_mut() {
+    // The state at `pc`, updated in place; `falls` says whether control
+    // falls through into `pc` with it.
+    let mut st = [AbsVal::Top(0); NUM_REGS];
+    for slot in st.iter_mut() {
         *slot = fresh(&mut ctr);
     }
-    entry[1] = AbsVal::Ctx;
-    entry[REG_FP as usize] = AbsVal::FpOff(0);
-    states[0] = Some(entry);
-
-    let mut cse: Vec<CseEntry> = Vec::new();
+    st[1] = AbsVal::Ctx;
+    st[REG_FP as usize] = AbsVal::FpOff(0);
+    let mut falls = true;
+    let WalkBufs { pending, cse } = bufs;
+    pending.clear();
+    cse.clear();
     let mut changed = false;
 
     for pc in 0..n {
-        let Some(mut st) = states[pc] else {
+        if let Some(jumped) = pending.take(pc) {
+            if falls {
+                join(&mut st, &jumped, &mut ctr);
+            } else {
+                st = jumped;
+                falls = true;
+            }
+        }
+        if !falls {
             // Unreachable: delete. Nothing jumps here (a jump would
-            // have seeded the state), so falling through the NOP is
-            // never observed.
+            // have filed a state), so falling through the NOP is never
+            // observed.
             if insns[pc] != NOP {
                 insns[pc] = NOP;
                 changed = true;
             }
             continue;
-        };
+        }
         if is_target[pc] {
             // Merge point: the straight-line availability table no
             // longer holds on all incoming paths.
             cse.clear();
         }
 
-        let cur = rewrite(insns[pc], &st, &cse);
+        let cur = rewrite(insns[pc], &st, cse);
         if cur != insns[pc] {
             insns[pc] = cur;
             changed = true;
@@ -335,17 +419,17 @@ fn forward_pass(insns: &mut [Insn]) -> bool {
         match cur {
             Insn::AluImm { op, dst, imm } => {
                 let d = dst as usize;
-                st[d] = transfer_alu(op, st[d], AbsVal::Const(imm as u64), &mut ctr, &mut fresh);
-                drop_reg(&mut cse, dst);
+                st[d] = transfer_alu(op, st[d], AbsVal::Const(imm as u64), &mut ctr);
+                drop_reg(cse, dst);
             }
             Insn::AluReg { op, dst, src } => {
                 let d = dst as usize;
                 st[d] = if op == AluOp::Mov {
                     st[src as usize]
                 } else {
-                    transfer_alu(op, st[d], st[src as usize], &mut ctr, &mut fresh)
+                    transfer_alu(op, st[d], st[src as usize], &mut ctr)
                 };
-                drop_reg(&mut cse, dst);
+                drop_reg(cse, dst);
             }
             Insn::Load {
                 size,
@@ -359,7 +443,7 @@ fn forward_pass(insns: &mut [Insn]) -> bool {
                     (AbsVal::Ctx, MemSize::DW, 8) => AbsVal::PktEnd,
                     _ => fresh(&mut ctr),
                 };
-                drop_reg(&mut cse, dst);
+                drop_reg(cse, dst);
                 if matches!(base, AbsVal::FpOff(_) | AbsVal::PktData(_) | AbsVal::Ctx) {
                     cse.push(CseEntry {
                         base,
@@ -370,7 +454,7 @@ fn forward_pass(insns: &mut [Insn]) -> bool {
                 }
             }
             Insn::Store { size, dst, off, .. } | Insn::StoreImm { size, dst, off, .. } => {
-                invalidate_stores(&mut cse, st[dst as usize], off, size);
+                invalidate_stores(cse, st[dst as usize], off, size);
             }
             Insn::Call { .. } => {
                 // Helpers may write the stack through pointer arguments
@@ -397,10 +481,13 @@ fn forward_pass(insns: &mut [Insn]) -> bool {
         // so decided branches stop seeding their dead edge and
         // newly-unreachable code is found in the same sweep.
         let (ft, tk) = successors(insns, pc);
-        for t in [ft, tk].into_iter().flatten() {
-            if t < n {
-                join(&mut states[t], &st, &mut ctr, &mut fresh);
-            }
+        falls = ft.is_some();
+        match tk {
+            // Both edges carry `st`, and a state joined with itself is
+            // itself.
+            Some(t) if t == pc + 1 => falls = true,
+            Some(t) if t < n => pending.file(t, st, |into, st| join(into, st, &mut ctr)),
+            _ => {}
         }
     }
     changed
@@ -408,33 +495,17 @@ fn forward_pass(insns: &mut [Insn]) -> bool {
 
 /// Pointwise join of register states at a merge point: disagreeing
 /// registers decay to fresh opaque values.
-fn join(
-    into: &mut Option<RegState>,
-    st: &RegState,
-    ctr: &mut u32,
-    fresh: &mut impl FnMut(&mut u32) -> AbsVal,
-) {
-    match into {
-        None => *into = Some(*st),
-        Some(prev) => {
-            for r in 0..NUM_REGS {
-                if prev[r] != st[r] {
-                    prev[r] = fresh(ctr);
-                }
-            }
+fn join(into: &mut RegState, st: &RegState, ctr: &mut u32) {
+    for (prev, v) in into.iter_mut().zip(st) {
+        if prev != v {
+            *prev = fresh(ctr);
         }
     }
 }
 
 /// Abstract ALU transfer. Mirrors [`vm::alu`] exactly on constants;
 /// pointer arithmetic tracks displacements; everything else decays.
-fn transfer_alu(
-    op: AluOp,
-    dst: AbsVal,
-    src: AbsVal,
-    ctr: &mut u32,
-    fresh: &mut impl FnMut(&mut u32) -> AbsVal,
-) -> AbsVal {
+fn transfer_alu(op: AluOp, dst: AbsVal, src: AbsVal, ctr: &mut u32) -> AbsVal {
     use AbsVal::{Const, FpOff, PktData};
     match (op, dst, src) {
         (AluOp::Mov, _, v) => v,
@@ -775,11 +846,22 @@ fn fold_base(st: &RegState, base: u8, off: i16) -> Option<(u8, i16)> {
 /// Removes side-effect-free instructions whose destination register is
 /// dead. ALU ops and loads are pure (loads in a verified program are
 /// in-bounds reads); calls, stores and control flow are never touched.
-fn dse(insns: &mut [Insn]) -> bool {
-    let live = liveness(insns);
+///
+/// One backward sweep: every decision reads `decide`, the liveness of
+/// the pass's input (so removals do not cascade within a pass), while
+/// `live` receives the liveness of the pass's output.
+fn dse(insns: &mut [Insn], live: &mut Vec<u16>, decide: &mut Vec<u16>) -> bool {
+    let n = insns.len();
+    decide.clear();
+    decide.resize(n, 0);
+    live.clear();
+    live.resize(n, 0);
     let mut changed = false;
-    for pc in 0..insns.len() {
-        let dst = match insns[pc] {
+    for pc in (0..n).rev() {
+        let insn = insns[pc];
+        let out = live_out(insns, decide, pc);
+        decide[pc] = live_in(insn, out);
+        let dst = match insn {
             // Division and modulo are only pure when the divisor is
             // provably nonzero: a zero register divisor bumps the
             // observable div_zeros census even when the result is
@@ -788,14 +870,17 @@ fn dse(insns: &mut [Insn]) -> bool {
             Insn::AluReg {
                 op: AluOp::Div | AluOp::Mod,
                 ..
-            } => continue,
-            Insn::AluImm { dst, .. } | Insn::AluReg { dst, .. } | Insn::Load { dst, .. } => dst,
-            _ => continue,
+            } => None,
+            Insn::AluImm { dst, .. } | Insn::AluReg { dst, .. } | Insn::Load { dst, .. } => {
+                Some(dst)
+            }
+            _ => None,
         };
-        if live_out(insns, &live, pc) & bit(dst) == 0 && insns[pc] != NOP {
+        if dst.is_some_and(|d| out & bit(d) == 0) {
             insns[pc] = NOP;
             changed = true;
         }
+        live[pc] = live_in(insns[pc], live_out(insns, live, pc));
     }
     changed
 }
@@ -882,27 +967,30 @@ fn thread_jumps(insns: &mut [Insn]) -> bool {
 // NOP compaction with jump-offset fixup.
 // ---------------------------------------------------------------------------
 
-/// Physically removes [`NOP`] markers and re-encodes every jump offset
-/// against the compacted layout. A jump whose target was removed lands
-/// on the next surviving instruction — exactly where the fallthrough
-/// of the removed marker went.
-fn compact(insns: &mut Vec<Insn>) -> bool {
+/// Physically removes [`NOP`] markers, in place, and re-encodes every
+/// jump offset against the compacted layout. A jump whose target was
+/// removed lands on the next surviving instruction — exactly where the
+/// fallthrough of the removed marker went — so every survivor keeps its
+/// live-in set, and `live` is compacted alongside.
+fn compact(insns: &mut Vec<Insn>, live: &mut Vec<u16>, newpos: &mut Vec<usize>) -> bool {
     let n = insns.len();
-    let keep: Vec<bool> = insns.iter().map(|i| *i != NOP).collect();
-    if keep.iter().all(|&k| k) {
+    if !insns.contains(&NOP) {
         return false;
     }
-    let mut newpos = vec![0usize; n + 1];
+    newpos.clear();
+    newpos.push(0);
     for i in 0..n {
-        newpos[i + 1] = newpos[i] + usize::from(keep[i]);
+        newpos.push(newpos[i] + usize::from(insns[i] != NOP));
     }
-    let mut out = Vec::with_capacity(newpos[n]);
     for pc in 0..n {
-        if !keep[pc] {
+        if insns[pc] == NOP {
             continue;
         }
         let fix = |off: i32| (newpos[target(pc, off)] as i64 - newpos[pc] as i64 - 1) as i32;
-        out.push(match insns[pc] {
+        // Survivors only move down, so the write never passes the read.
+        let to = newpos[pc];
+        live[to] = live[pc];
+        insns[to] = match insns[pc] {
             Insn::Ja { off } => Insn::Ja { off: fix(off) },
             Insn::JmpImm {
                 cond,
@@ -927,9 +1015,10 @@ fn compact(insns: &mut Vec<Insn>) -> bool {
                 off: fix(off),
             },
             other => other,
-        });
+        };
     }
-    *insns = out;
+    insns.truncate(newpos[n]);
+    live.truncate(newpos[n]);
     true
 }
 
@@ -1166,9 +1255,11 @@ fn match_csum_loop(insns: &[Insn], i: usize) -> Option<CsumLoop> {
 /// dead after the branch (their final values differ), the loads cover
 /// exactly the same bytes (no new access for the verifier to reject),
 /// and nothing may jump into the pattern's interior.
-fn widen_checksum_loops(insns: &mut [Insn]) -> bool {
-    let live = liveness(insns);
-    let is_target = jump_targets(insns);
+///
+/// Reads the round's `live` and `is_target`; a rewrite leaves every
+/// live-in set outside the pattern as it was (the pattern's live-in is
+/// `base` plus the branch's live-out either way).
+fn widen_checksum_loops(insns: &mut [Insn], live: &[u16], is_target: &mut [bool]) -> bool {
     let n = insns.len();
     let mut changed = false;
     let mut i = 0;
@@ -1185,20 +1276,25 @@ fn widen_checksum_loops(insns: &mut [Insn]) -> bool {
         // acc, t and f must be dead on both branch outcomes.
         let bpc = end - 1;
         let dead_mask = bit(m.acc) | bit(m.t) | bit(m.f);
-        if live_out(insns, &live, bpc) & dead_mask != 0 {
+        if live_out(insns, live, bpc) & dead_mask != 0 {
             i += 1;
             continue;
         }
         // Rewrite: n/2 32-bit load/accumulate pairs (the first pair
         // initializes the accumulator directly, retiring the zero
         // init), the same two folds, NOP padding, and the branch left
-        // untouched in place so its offset stays valid.
-        let mut body = Vec::with_capacity(m.len - 1);
+        // untouched in place so its offset stays valid. The body is
+        // shorter than the pattern, so it is written over it.
+        let mut w = i;
+        let mut emit = |insn: Insn| {
+            insns[w] = insn;
+            w += 1;
+        };
         for q in 0..m.pairs / 2 {
             if q == 0 {
                 // The first load goes straight into the accumulator,
                 // retiring both the zero init and the first add.
-                body.push(Insn::Load {
+                emit(Insn::Load {
                     size: MemSize::W,
                     dst: m.acc,
                     src: m.base,
@@ -1206,47 +1302,42 @@ fn widen_checksum_loops(insns: &mut [Insn]) -> bool {
                 });
                 continue;
             }
-            body.push(Insn::Load {
+            emit(Insn::Load {
                 size: MemSize::W,
                 dst: m.t,
                 src: m.base,
                 off: m.off0 + 4 * q as i16,
             });
-            body.push(Insn::AluReg {
+            emit(Insn::AluReg {
                 op: AluOp::Add,
                 dst: m.acc,
                 src: m.t,
             });
         }
         for _ in 0..2 {
-            body.push(Insn::AluReg {
+            emit(Insn::AluReg {
                 op: AluOp::Mov,
                 dst: m.f,
                 src: m.acc,
             });
-            body.push(Insn::AluImm {
+            emit(Insn::AluImm {
                 op: AluOp::Rsh,
                 dst: m.f,
                 imm: 16,
             });
-            body.push(Insn::AluImm {
+            emit(Insn::AluImm {
                 op: AluOp::And,
                 dst: m.acc,
                 imm: 0xffff,
             });
-            body.push(Insn::AluReg {
+            emit(Insn::AluReg {
                 op: AluOp::Add,
                 dst: m.acc,
                 src: m.f,
             });
         }
-        debug_assert!(body.len() < m.len - 1);
-        for (k, insn) in body.iter().enumerate() {
-            insns[i + k] = *insn;
-        }
-        for insn in insns.iter_mut().take(bpc).skip(i + body.len()) {
-            *insn = NOP;
-        }
+        debug_assert!(w < bpc);
+        nop_out(insns, w..bpc, is_target);
         changed = true;
         i = end;
     }
@@ -1268,9 +1359,13 @@ fn widen_checksum_loops(insns: &mut [Insn]) -> bool {
 /// and the second fold of the original is the identity — the stored
 /// bytes match bit for bit. Only the TTL scratch register ends with a
 /// different value, so it must be dead after the pattern.
-fn collapse_ttl_update(insns: &mut [Insn]) -> bool {
-    let live = liveness(insns);
-    let is_target = jump_targets(insns);
+///
+/// Reads the round's `live` as it stood before [`widen_checksum_loops`]
+/// ran: the only set read is the one just past a matched pattern, and a
+/// widened loop (loads, ALU ops and no-ops up to its branch) can neither
+/// overlap this store-terminated pattern nor change a live-in set outside
+/// its own interior.
+fn collapse_ttl_update(insns: &mut [Insn], live: &[u16], is_target: &mut [bool]) -> bool {
     let n = insns.len();
     let mut changed = false;
     let mut i = 0;
@@ -1388,12 +1483,8 @@ fn collapse_ttl_update(insns: &mut [Insn]) -> bool {
                 src: rp,
             },
         ];
-        for (k, insn) in body.iter().enumerate() {
-            insns[i + k] = *insn;
-        }
-        for insn in insns.iter_mut().take(end).skip(i + body.len()) {
-            *insn = NOP;
-        }
+        insns[i..i + body.len()].copy_from_slice(&body);
+        nop_out(insns, i + body.len()..end, is_target);
         changed = true;
         i = end;
     }
@@ -1910,11 +2001,34 @@ mod tests {
     }
 
     #[test]
+    fn the_proof_handed_back_is_of_the_program_handed_back() {
+        let insns = csum_program();
+        let (checked, stats) = optimize_verified(&insns);
+        let out = checked.unwrap();
+        assert_eq!(out.insns(), optimize(&insns).0.as_slice());
+        let loaded = LoadedProgram::from_verified("opt", out);
+        assert_eq!(loaded.len(), stats.after);
+        assert!(stats.after < stats.before);
+        // Nothing to remove: the input's own proof comes back.
+        let mut a = Asm::new();
+        a.mov_imm(0, Action::Pass.code() as i64);
+        a.exit();
+        let minimal = a.finish().unwrap();
+        let (checked, stats) = optimize_verified(&minimal);
+        assert_eq!(checked.unwrap().insns(), minimal.as_slice());
+        assert_eq!(stats.removed(), 0);
+        // A rejected input: its own verification error.
+        let (checked, stats) = optimize_verified(&[Insn::Exit]);
+        assert_eq!(checked, Err(VerifyError::UninitRead { pc: 0, reg: 0 }));
+        assert_eq!((stats.before, stats.after), (1, 1));
+    }
+
+    #[test]
     fn optimized_programs_reverify_and_reload() {
         for insns in [csum_program(), ttl_program()] {
             let (opt, stats) = optimize(&insns);
             assert!(stats.after < stats.before);
-            verifier::verify(&opt).expect("optimized program must re-verify");
+            crate::verifier::verify(&opt).expect("optimized program must re-verify");
             LoadedProgram::load(Program::new("opt", opt)).expect("must reload");
         }
     }

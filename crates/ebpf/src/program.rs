@@ -3,7 +3,7 @@
 
 use crate::compile::CompiledProgram;
 use crate::insn::{HelperId, Insn};
-use crate::verifier::{self, VerifyError};
+use crate::verifier::{Verified, VerifyError};
 use std::fmt;
 use std::sync::Arc;
 
@@ -41,7 +41,8 @@ impl Program {
 ///
 /// This is the moral equivalent of a loaded program fd returned by
 /// `bpf(BPF_PROG_LOAD)`: the only way to construct one is through the
-/// verifier.
+/// verifier, either here ([`LoadedProgram::load`]) or earlier
+/// ([`LoadedProgram::from_verified`] takes the verifier's proof).
 #[derive(Clone)]
 pub struct LoadedProgram {
     inner: Arc<Program>,
@@ -57,8 +58,14 @@ impl LoadedProgram {
     /// Returns the first verification failure, exactly as the in-kernel
     /// verifier rejects a `BPF_PROG_LOAD`.
     pub fn load(program: Program) -> Result<Self, VerifyError> {
-        verifier::verify(&program.insns)?;
-        Ok(Self::assemble(program))
+        let verified = Verified::new(program.insns)?;
+        Ok(Self::from_verified(program.name, verified))
+    }
+
+    /// Loads instructions the verifier has already accepted: the proof
+    /// is the [`Verified`] value, so nothing is verified again.
+    pub fn from_verified(name: impl Into<String>, verified: Verified) -> Self {
+        Self::assemble(Program::new(name, verified.into_insns()))
     }
 
     /// A program the verifier would reject, for driving the engines'

@@ -31,12 +31,22 @@
 //!
 //! Simplifications relative to the real verifier (documented, deliberate):
 //! no pointer spilling to the stack (spilled values read back as
-//! scalars), no bounded loops, and variable packet pointers track a
-//! single definition site rather than full value ranges. The synthesizer
-//! only emits code inside this subset.
+//! scalars), no bounded loops, variable packet pointers track a single
+//! definition site rather than full value ranges, and at most
+//! [`VAR_SLOTS`] variable packet pointers held in registers carry a
+//! bounds proof at once (a proof past that is dropped, which can only
+//! reject). The synthesizer only emits code inside this subset.
+//!
+//! # The walk
+//!
+//! Because every jump goes forward, one pass in pc order visits each
+//! instruction after all of its predecessors ([`crate::walk`]). The
+//! state falling through is updated in place; a state is copied only
+//! where a conditional jump splits it, and stored only at a jump target
+//! the walk has not reached yet, joined with whatever else jumps there.
 
-use crate::insn::{AluOp, HelperId, Insn, JmpCond, MemSize, REG_FP, STACK_SIZE};
-use std::collections::BTreeMap;
+use crate::insn::{AluOp, HelperId, Insn, JmpCond, MemSize, NUM_REGS, REG_FP, STACK_SIZE};
+use crate::walk::Pending;
 use std::fmt;
 
 /// Why a program was rejected.
@@ -215,7 +225,7 @@ enum RType {
     /// Loads require bytes proven for that `id` in `var_verified`.
     PtrPacketVar {
         /// Defining instruction index.
-        id: usize,
+        id: u32,
         /// Constant byte offset relative to the formed pointer.
         delta: i64,
     },
@@ -241,43 +251,107 @@ fn join_rtype(a: RType, b: RType) -> RType {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
+/// Variable packet pointers that can carry a bounds proof at once.
+pub const VAR_SLOTS: usize = 4;
+
+/// Bytes proven available per variable packet pointer, keyed by the pc
+/// that formed the pointer: an inline table, so the state stays `Copy`.
+#[derive(Debug, Clone, Copy)]
+struct VarProofs {
+    len: usize,
+    ids: [u32; VAR_SLOTS],
+    bytes: [i64; VAR_SLOTS],
+}
+
+impl VarProofs {
+    const EMPTY: VarProofs = VarProofs {
+        len: 0,
+        ids: [0; VAR_SLOTS],
+        bytes: [0; VAR_SLOTS],
+    };
+
+    fn slot(&self, id: u32) -> Option<usize> {
+        self.ids[..self.len].iter().position(|&x| x == id)
+    }
+
+    fn get(&self, id: u32) -> Option<i64> {
+        self.slot(id).map(|i| self.bytes[i])
+    }
+
+    /// Records `delta` proven bytes for `id`, keeping the larger proof. A
+    /// new pointer takes a free slot, or the slot of a pointer no
+    /// register holds: a DAG never re-forms a pointer, so that proof can
+    /// never be read again.
+    fn prove(&mut self, id: u32, delta: i64, regs: &[RType; NUM_REGS]) {
+        if let Some(i) = self.slot(id) {
+            self.bytes[i] = self.bytes[i].max(delta);
+            return;
+        }
+        if self.len == VAR_SLOTS {
+            let held = |x: u32| {
+                regs.iter()
+                    .any(|r| matches!(r, RType::PtrPacketVar { id, .. } if *id == x))
+            };
+            self.retain(|x, b| held(x).then_some(b));
+        }
+        if self.len < VAR_SLOTS {
+            self.ids[self.len] = id;
+            self.bytes[self.len] = delta.max(0);
+            self.len += 1;
+        }
+    }
+
+    /// Only windows proven on *both* paths survive, at the smaller of the
+    /// two proofs.
+    fn join(&mut self, other: &VarProofs) {
+        self.retain(|id, b| other.get(id).map(|w| b.min(w)));
+    }
+
+    /// Keeps the entries `keep` maps to `Some(new bytes)`, in order.
+    fn retain(&mut self, mut keep: impl FnMut(u32, i64) -> Option<i64>) {
+        let mut w = 0;
+        for r in 0..self.len {
+            if let Some(b) = keep(self.ids[r], self.bytes[r]) {
+                self.ids[w] = self.ids[r];
+                self.bytes[w] = b;
+                w += 1;
+            }
+        }
+        self.len = w;
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
 struct AbsState {
-    regs: [RType; 11],
+    regs: [RType; NUM_REGS],
     pkt_verified: i64,
-    /// Bytes proven available per variable packet pointer definition.
-    var_verified: BTreeMap<usize, i64>,
+    var_verified: VarProofs,
 }
 
 impl AbsState {
     fn initial() -> Self {
-        let mut regs = [RType::Uninit; 11];
+        let mut regs = [RType::Uninit; NUM_REGS];
         regs[1] = RType::PtrCtx;
         regs[REG_FP as usize] = RType::PtrStack(0);
         AbsState {
             regs,
             pkt_verified: 0,
-            var_verified: BTreeMap::new(),
+            var_verified: VarProofs::EMPTY,
         }
     }
 
-    fn join(&self, other: &AbsState) -> AbsState {
-        let mut regs = [RType::Uninit; 11];
-        for (i, slot) in regs.iter_mut().enumerate() {
-            *slot = join_rtype(self.regs[i], other.regs[i]);
+    /// Joins `other` into `self`: the least state both paths satisfy.
+    fn join(&mut self, other: &AbsState) {
+        for (slot, o) in self.regs.iter_mut().zip(other.regs) {
+            *slot = join_rtype(*slot, o);
         }
-        // Only windows proven on *both* paths survive, at the smaller of
-        // the two proofs.
-        let var_verified = self
-            .var_verified
-            .iter()
-            .filter_map(|(id, v)| other.var_verified.get(id).map(|w| (*id, (*v).min(*w))))
-            .collect();
-        AbsState {
-            regs,
-            pkt_verified: self.pkt_verified.min(other.pkt_verified),
-            var_verified,
-        }
+        self.pkt_verified = self.pkt_verified.min(other.pkt_verified);
+        self.var_verified.join(&other.var_verified);
+    }
+
+    /// A guard proved `delta` bytes past the variable pointer `id`.
+    fn prove_var(&mut self, id: u32, delta: i64) {
+        self.var_verified.prove(id, delta, &self.regs);
     }
 }
 
@@ -359,6 +433,34 @@ pub(crate) fn helper_contract(helper: HelperId) -> (u8, &'static [(u8, i64)], &'
     }
 }
 
+/// Instructions [`verify`] accepted. Only this module can build one, so
+/// holding one is the proof: [`crate::program::LoadedProgram::from_verified`]
+/// loads it without verifying a second time.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Verified(Vec<Insn>);
+
+impl Verified {
+    /// Verifies `insns`, keeping them as the proof.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`VerifyError`] [`verify`] returns.
+    pub fn new(insns: Vec<Insn>) -> Result<Self, VerifyError> {
+        verify(&insns)?;
+        Ok(Verified(insns))
+    }
+
+    /// The verified instructions.
+    pub fn insns(&self) -> &[Insn] {
+        &self.0
+    }
+
+    /// Gives the instructions back, dropping the proof.
+    pub fn into_insns(self) -> Vec<Insn> {
+        self.0
+    }
+}
+
 /// Verifies a program.
 ///
 /// # Errors
@@ -374,29 +476,65 @@ pub fn verify(insns: &[Insn]) -> Result<(), VerifyError> {
     }
 
     let n = insns.len();
-    let mut states: Vec<Option<AbsState>> = vec![None; n];
-    states[0] = Some(AbsState::initial());
-
-    for pc in 0..n {
-        let Some(st) = states[pc].clone() else {
+    let mut pending = Pending::default();
+    // The state at `pc`, updated in place; `falls` says whether control
+    // falls through into `pc` with it.
+    let mut st = AbsState::initial();
+    let mut falls = true;
+    for (pc, &insn) in insns.iter().enumerate() {
+        if let Some(jumped) = pending.take(pc) {
+            if falls {
+                st.join(&jumped);
+            } else {
+                st = jumped;
+                falls = true;
+            }
+        }
+        if !falls {
             continue; // unreachable
-        };
-        let succs = transfer(pc, insns[pc], st, n)?;
-        for (succ, s) in succs {
-            if succ == n {
-                // Falling past the end is only legal... never.
+        }
+        let next = pc + 1;
+        let mut file = |target: usize, state: AbsState| {
+            if target == n {
                 return Err(VerifyError::FallsOffEnd);
             }
-            states[succ] = Some(match &states[succ] {
-                Some(prev) => prev.join(&s),
-                None => s,
-            });
+            pending.file(target, state, AbsState::join);
+            Ok(())
+        };
+        match transfer(pc, insn, &mut st, n)? {
+            Flow::Next => {}
+            Flow::Branch(target, taken) if target == next => st.join(&taken),
+            Flow::Branch(target, taken) => file(target, taken)?,
+            Flow::Jump(target) if target == next => {}
+            Flow::Jump(target) => {
+                file(target, st)?;
+                falls = false;
+            }
+            Flow::Exit => falls = false,
+        }
+        if next == n && falls {
+            // Falling past the end is only legal... never.
+            return Err(VerifyError::FallsOffEnd);
         }
     }
     Ok(())
 }
 
-type Succs = Vec<(usize, AbsState)>;
+/// Where control goes after one instruction. The state that falls
+/// through is the one [`transfer`] updated in place.
+// A `Flow` is consumed the moment it is returned; boxing the taken state
+// would put an allocation on every conditional jump.
+#[allow(clippy::large_enum_variant)]
+enum Flow {
+    /// Falls through to the next instruction.
+    Next,
+    /// Falls through, and jumps to the target with the taken state.
+    Branch(usize, AbsState),
+    /// Jumps to the target with the updated state; no fall-through.
+    Jump(usize),
+    /// Leaves the program.
+    Exit,
+}
 
 fn jump_target(pc: usize, off: i32, n: usize) -> Result<usize, VerifyError> {
     if off < 0 {
@@ -409,7 +547,7 @@ fn jump_target(pc: usize, off: i32, n: usize) -> Result<usize, VerifyError> {
     Ok(target)
 }
 
-fn transfer(pc: usize, insn: Insn, mut st: AbsState, n: usize) -> Result<Succs, VerifyError> {
+fn transfer(pc: usize, insn: Insn, st: &mut AbsState, n: usize) -> Result<Flow, VerifyError> {
     match insn {
         Insn::AluImm { op, dst, imm } => {
             check_reg(pc, dst)?;
@@ -430,7 +568,7 @@ fn transfer(pc: usize, insn: Insn, mut st: AbsState, n: usize) -> Result<Succs, 
             let t = match op {
                 AluOp::Mov => RType::Scalar,
                 AluOp::Add | AluOp::Sub => {
-                    let cur = read_reg(pc, &st, dst)?;
+                    let cur = read_reg(pc, st, dst)?;
                     let delta = if op == AluOp::Add { imm } else { -imm };
                     match cur {
                         RType::Scalar => RType::Scalar,
@@ -462,24 +600,24 @@ fn transfer(pc: usize, insn: Insn, mut st: AbsState, n: usize) -> Result<Succs, 
                     }
                 }
                 _ => {
-                    let cur = read_reg(pc, &st, dst)?;
+                    let cur = read_reg(pc, st, dst)?;
                     if !is_scalar(cur) {
                         return Err(VerifyError::InvalidPtrArith { pc });
                     }
                     bounded_alu_imm(op, cur, imm)
                 }
             };
-            write_reg(pc, &mut st, dst, t)?;
-            Ok(vec![(pc + 1, st)])
+            write_reg(pc, st, dst, t)?;
+            Ok(Flow::Next)
         }
         Insn::AluReg { op, dst, src } => {
-            let src_t = read_reg(pc, &st, src)?;
+            let src_t = read_reg(pc, st, src)?;
             match op {
                 AluOp::Mov => {
-                    write_reg(pc, &mut st, dst, src_t)?;
+                    write_reg(pc, st, dst, src_t)?;
                 }
                 AluOp::Add => {
-                    let dst_t = read_reg(pc, &st, dst)?;
+                    let dst_t = read_reg(pc, st, dst)?;
                     match (dst_t, src_t) {
                         // Forming a variable packet pointer: only a
                         // *bounded* scalar may be added, and the worst
@@ -488,7 +626,8 @@ fn transfer(pc: usize, insn: Insn, mut st: AbsState, n: usize) -> Result<Succs, 
                             if o < 0 || (o as u64).saturating_add(m) > 0xFFFF {
                                 return Err(VerifyError::InvalidPtrArith { pc });
                             }
-                            write_reg(pc, &mut st, dst, RType::PtrPacketVar { id: pc, delta: 0 })?;
+                            let id = pc as u32; // pc < MAX_INSNS
+                            write_reg(pc, st, dst, RType::PtrPacketVar { id, delta: 0 })?;
                         }
                         (a, b) if is_scalar(a) && is_scalar(b) => {
                             let t = match (a, b) {
@@ -497,29 +636,26 @@ fn transfer(pc: usize, insn: Insn, mut st: AbsState, n: usize) -> Result<Succs, 
                                 }
                                 _ => RType::Scalar,
                             };
-                            write_reg(pc, &mut st, dst, t)?;
+                            write_reg(pc, st, dst, t)?;
                         }
                         _ => return Err(VerifyError::InvalidPtrArith { pc }),
                     }
                 }
                 _ => {
-                    let dst_t = read_reg(pc, &st, dst)?;
+                    let dst_t = read_reg(pc, st, dst)?;
                     if !is_scalar(dst_t) || !is_scalar(src_t) {
                         return Err(VerifyError::InvalidPtrArith { pc });
                     }
-                    write_reg(pc, &mut st, dst, RType::Scalar)?;
+                    write_reg(pc, st, dst, RType::Scalar)?;
                 }
             }
-            Ok(vec![(pc + 1, st)])
+            Ok(Flow::Next)
         }
-        Insn::Ja { off } => {
-            let target = jump_target(pc, off, n)?;
-            Ok(vec![(target, st)])
-        }
+        Insn::Ja { off } => Ok(Flow::Jump(jump_target(pc, off, n)?)),
         Insn::JmpImm { dst, off, .. } => {
-            read_reg(pc, &st, dst)?;
+            read_reg(pc, st, dst)?;
             let target = jump_target(pc, off, n)?;
-            Ok(vec![(pc + 1, st.clone()), (target, st)])
+            Ok(Flow::Branch(target, *st))
         }
         Insn::JmpReg {
             cond,
@@ -527,15 +663,11 @@ fn transfer(pc: usize, insn: Insn, mut st: AbsState, n: usize) -> Result<Succs, 
             src,
             off,
         } => {
-            let dst_t = read_reg(pc, &st, dst)?;
-            let src_t = read_reg(pc, &st, src)?;
+            let dst_t = read_reg(pc, st, dst)?;
+            let src_t = read_reg(pc, st, src)?;
             let target = jump_target(pc, off, n)?;
-            let mut taken = st.clone();
-            let mut fall = st;
-            let bump_var = |s: &mut AbsState, id: usize, delta: i64| {
-                let v = s.var_verified.entry(id).or_insert(0);
-                *v = (*v).max(delta);
-            };
+            let mut taken = *st;
+            let fall = st;
             match (dst_t, src_t) {
                 (a, b) if is_scalar(a) && is_scalar(b) => {}
                 // The canonical packet guard: `if pkt+K > end goto bad`.
@@ -561,18 +693,18 @@ fn transfer(pc: usize, insn: Insn, mut st: AbsState, n: usize) -> Result<Succs, 
                 // bad` proves K bytes for that pointer's definition on
                 // the surviving branch.
                 (RType::PtrPacketVar { id, delta }, RType::PtrPacketEnd) => match cond {
-                    JmpCond::Gt | JmpCond::Ge => bump_var(&mut fall, id, delta),
-                    JmpCond::Le | JmpCond::Lt => bump_var(&mut taken, id, delta),
+                    JmpCond::Gt | JmpCond::Ge => fall.prove_var(id, delta),
+                    JmpCond::Le | JmpCond::Lt => taken.prove_var(id, delta),
                     _ => return Err(VerifyError::BadPtrComparison { pc }),
                 },
                 (RType::PtrPacketEnd, RType::PtrPacketVar { id, delta }) => match cond {
-                    JmpCond::Lt | JmpCond::Le => bump_var(&mut fall, id, delta),
-                    JmpCond::Gt | JmpCond::Ge => bump_var(&mut taken, id, delta),
+                    JmpCond::Lt | JmpCond::Le => fall.prove_var(id, delta),
+                    JmpCond::Gt | JmpCond::Ge => taken.prove_var(id, delta),
                     _ => return Err(VerifyError::BadPtrComparison { pc }),
                 },
                 _ => return Err(VerifyError::BadPtrComparison { pc }),
             }
-            Ok(vec![(pc + 1, fall), (target, taken)])
+            Ok(Flow::Branch(target, taken))
         }
         Insn::Load {
             size,
@@ -580,7 +712,7 @@ fn transfer(pc: usize, insn: Insn, mut st: AbsState, n: usize) -> Result<Succs, 
             src,
             off,
         } => {
-            let base = read_reg(pc, &st, src)?;
+            let base = read_reg(pc, st, src)?;
             let bytes = size.bytes() as i64;
             let t = match base {
                 RType::PtrCtx => ctx_load_type(pc, off as i64, size)?,
@@ -599,7 +731,7 @@ fn transfer(pc: usize, insn: Insn, mut st: AbsState, n: usize) -> Result<Succs, 
                 RType::PtrPacketVar { id, delta } => {
                     let start = delta + off as i64;
                     let end = start + bytes;
-                    let verified = st.var_verified.get(&id).copied().unwrap_or(0);
+                    let verified = st.var_verified.get(id).unwrap_or(0);
                     if start < 0 || end > verified {
                         return Err(VerifyError::PacketOutOfBounds {
                             pc,
@@ -617,8 +749,8 @@ fn transfer(pc: usize, insn: Insn, mut st: AbsState, n: usize) -> Result<Succs, 
                     return Err(VerifyError::NonPointerDeref { pc, reg: src })
                 }
             };
-            write_reg(pc, &mut st, dst, t)?;
-            Ok(vec![(pc + 1, st)])
+            write_reg(pc, st, dst, t)?;
+            Ok(Flow::Next)
         }
         Insn::Store {
             size,
@@ -626,18 +758,18 @@ fn transfer(pc: usize, insn: Insn, mut st: AbsState, n: usize) -> Result<Succs, 
             off,
             src,
         } => {
-            read_reg(pc, &st, src)?;
-            store_check(pc, &st, dst, off, size)?;
-            Ok(vec![(pc + 1, st)])
+            read_reg(pc, st, src)?;
+            store_check(pc, st, dst, off, size)?;
+            Ok(Flow::Next)
         }
         Insn::StoreImm { size, dst, off, .. } => {
-            store_check(pc, &st, dst, off, size)?;
-            Ok(vec![(pc + 1, st)])
+            store_check(pc, st, dst, off, size)?;
+            Ok(Flow::Next)
         }
         Insn::Call { helper } => {
             let (argc, stack_args, pkt_args) = helper_contract(helper);
             for r in 1..=argc {
-                read_reg(pc, &st, r)?;
+                read_reg(pc, st, r)?;
             }
             for (reg, need) in stack_args {
                 match st.regs[*reg as usize] {
@@ -671,8 +803,7 @@ fn transfer(pc: usize, insn: Insn, mut st: AbsState, n: usize) -> Result<Succs, 
                         }
                     }
                     RType::PtrPacketVar { id, delta } => {
-                        let ok =
-                            delta >= 0 && st.var_verified.get(&id).is_some_and(|v| delta <= *v);
+                        let ok = delta >= 0 && st.var_verified.get(id).is_some_and(|v| delta <= v);
                         if !ok {
                             return Err(VerifyError::BadHelperArg {
                                 pc,
@@ -694,16 +825,16 @@ fn transfer(pc: usize, insn: Insn, mut st: AbsState, n: usize) -> Result<Succs, 
             for r in 1..=5 {
                 st.regs[r] = RType::Uninit;
             }
-            Ok(vec![(pc + 1, st)])
+            Ok(Flow::Next)
         }
         Insn::TailCall { .. } => {
             // Either transfers control (never returns) or falls through on
             // an empty slot.
-            Ok(vec![(pc + 1, st)])
+            Ok(Flow::Next)
         }
         Insn::Exit => {
-            read_reg(pc, &st, 0)?;
-            Ok(vec![])
+            read_reg(pc, st, 0)?;
+            Ok(Flow::Exit)
         }
     }
 }
@@ -779,7 +910,7 @@ fn store_check(
         RType::PtrPacketVar { id, delta } => {
             let start = delta + off as i64;
             let end = start + bytes;
-            let verified = st.var_verified.get(&id).copied().unwrap_or(0);
+            let verified = st.var_verified.get(id).unwrap_or(0);
             if start < 0 || end > verified {
                 Err(VerifyError::PacketOutOfBounds {
                     pc,
@@ -800,6 +931,7 @@ mod tests {
     use super::*;
     use crate::asm::Asm;
     use crate::insn::Action;
+    use std::collections::BTreeMap;
 
     /// `r0 = PASS; exit` — minimal valid program.
     fn pass_prog() -> Vec<Insn> {
@@ -1418,5 +1550,353 @@ mod tests {
         assert!(s.contains("pc 5") && s.contains("16") && s.contains("14"));
         assert!(VerifyError::Empty.to_string().contains("empty"));
         assert!(VerifyError::FallsOffEnd.to_string().contains("falls off"));
+    }
+
+    #[test]
+    fn a_proof_slot_is_reused_once_no_register_holds_its_pointer() {
+        // Five variable pointers formed, guarded and read one after the
+        // other, each overwriting the last: only one is ever held, so
+        // the four slots never run out.
+        let mut a = Asm::new();
+        a.load(MemSize::DW, 2, 1, ctx_layout::DATA as i16);
+        a.load(MemSize::DW, 3, 1, ctx_layout::DATA_END as i16);
+        a.mov_reg(4, 2);
+        a.alu_imm(AluOp::Add, 4, 15);
+        a.jmp_reg(JmpCond::Gt, 4, 3, "out");
+        for _ in 0..VAR_SLOTS + 1 {
+            a.load(MemSize::B, 5, 2, 14);
+            a.mov_reg(6, 2);
+            a.alu_reg(AluOp::Add, 6, 5);
+            a.mov_reg(7, 6);
+            a.alu_imm(AluOp::Add, 7, 1);
+            a.jmp_reg(JmpCond::Gt, 7, 3, "out");
+            a.load(MemSize::B, 8, 6, 0);
+        }
+        a.label("out");
+        a.mov_imm(0, 2);
+        a.exit();
+        verify(&a.finish().unwrap()).unwrap();
+    }
+
+    /// The per-pc driver the walk replaced: a state slot for every pc,
+    /// every successor joined into its slot, on the same [`transfer`].
+    fn verify_per_pc(insns: &[Insn]) -> Result<(), VerifyError> {
+        if insns.is_empty() {
+            return Err(VerifyError::Empty);
+        }
+        if insns.len() > crate::insn::MAX_INSNS {
+            return Err(VerifyError::TooLong(insns.len()));
+        }
+        let n = insns.len();
+        let mut states: Vec<Option<AbsState>> = vec![None; n];
+        states[0] = Some(AbsState::initial());
+        for pc in 0..n {
+            let Some(mut st) = states[pc] else {
+                continue;
+            };
+            let succs = match transfer(pc, insns[pc], &mut st, n)? {
+                Flow::Next => vec![(pc + 1, st)],
+                Flow::Branch(target, taken) => vec![(pc + 1, st), (target, taken)],
+                Flow::Jump(target) => vec![(target, st)],
+                Flow::Exit => vec![],
+            };
+            for (succ, s) in succs {
+                if succ == n {
+                    return Err(VerifyError::FallsOffEnd);
+                }
+                match &mut states[succ] {
+                    Some(prev) => prev.join(&s),
+                    slot => *slot = Some(s),
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Bytes the generated prologue proves.
+    const GUARD: i64 = 34;
+
+    /// A program in the shape the optimizer's parity fuzz generates —
+    /// bounds-check prologue, random blocks, a shared drop tail — plus
+    /// what that shape lacks: variable packet pointers, `off: 0`
+    /// guards, unconditional jumps, and branch arms that leave a
+    /// register a pointer on one side and a scalar on the other.
+    fn rand_program(rng: &mut linuxfp_sim::SimRng) -> Vec<Insn> {
+        let s = |rng: &mut linuxfp_sim::SimRng| rng.uniform_u64(6) as u8;
+        let mut a = Asm::new();
+        a.load(MemSize::DW, 6, 1, 0).load(MemSize::DW, 7, 1, 8);
+        a.mov_reg(2, 6).alu_imm(AluOp::Add, 2, GUARD);
+        a.jmp_reg(JmpCond::Gt, 2, 7, "drop");
+        for r in 0..6 {
+            a.mov_imm(r, rng.uniform_u64(300) as i64);
+        }
+        for k in 0..2 + rng.uniform_u64(6) {
+            let next = format!("next{k}");
+            match rng.uniform_u64(9) {
+                0 => {
+                    let op = *rng.choose(&[AluOp::Add, AluOp::Mul, AluOp::Xor, AluOp::And]);
+                    a.alu_reg(op, s(rng), s(rng));
+                    a.alu_imm(AluOp::Rsh, s(rng), rng.uniform_u64(64) as i64);
+                }
+                1 => {
+                    let size = *rng.choose(&[MemSize::B, MemSize::H, MemSize::W]);
+                    let off = rng.uniform_u64(GUARD as u64 - size.bytes() as u64) as i16;
+                    if rng.chance(0.5) {
+                        a.load(size, s(rng), 6, off);
+                    } else {
+                        a.store(size, 6, off, s(rng));
+                    }
+                }
+                2 => {
+                    let slot = -8 * (1 + rng.uniform_u64(4) as i16);
+                    a.store_imm(MemSize::DW, 10, slot, 7);
+                    a.load(MemSize::DW, s(rng), 10, slot);
+                }
+                3 => {
+                    // A forward branch over filler, conditional or not.
+                    if rng.chance(0.3) {
+                        a.ja(&next);
+                    } else {
+                        a.jmp_imm(JmpCond::Eq, s(rng), 1, &next);
+                    }
+                    for _ in 0..1 + rng.uniform_u64(3) {
+                        a.alu_imm(AluOp::Add, s(rng), 1);
+                    }
+                }
+                4 => {
+                    // A pointer on one arm, a scalar on the other.
+                    let (r, arm, join) = (s(rng), format!("arm{k}"), format!("join{k}"));
+                    a.jmp_imm(JmpCond::Gt, s(rng), 100, &arm);
+                    a.mov_reg(r, 6).ja(&join);
+                    a.label(&arm).mov_imm(r, 0);
+                    a.label(&join);
+                    if rng.chance(0.3) {
+                        a.load(MemSize::B, s(rng), r, 0);
+                    } else {
+                        a.mov_imm(r, 5);
+                    }
+                }
+                5 => {
+                    // An `off: 0` guard: both edges reach the next
+                    // instruction, so the join keeps only the window
+                    // proven before it.
+                    a.mov_reg(2, 6).alu_imm(AluOp::Add, 2, GUARD + 8);
+                    let join = format!("join{k}");
+                    a.jmp_reg(JmpCond::Gt, 2, 7, &join).label(&join);
+                    let off = GUARD - 2 + rng.uniform_u64(3) as i64;
+                    a.load(MemSize::B, s(rng), 6, off as i16);
+                }
+                6 => {
+                    // A variable packet pointer, guarded, read, and
+                    // passed to the L7 helper.
+                    a.load(MemSize::B, 8, 6, 14).alu_imm(AluOp::And, 8, 0x3c);
+                    a.mov_reg(9, 6).alu_reg(AluOp::Add, 9, 8);
+                    a.mov_reg(2, 9);
+                    a.alu_imm(AluOp::Add, 2, 1 + rng.uniform_u64(2) as i64);
+                    a.jmp_reg(JmpCond::Gt, 2, 7, "drop");
+                    let size = *rng.choose(&[MemSize::B, MemSize::H]);
+                    a.load(size, s(rng), 9, 0);
+                    a.mov_reg(2, 9).mov_imm(3, 64).mov_imm(4, 0x100);
+                    a.call(HelperId::L7PolicyLookup);
+                    for r in 1..6 {
+                        a.mov_imm(r, 1);
+                    }
+                }
+                7 => {
+                    a.mov_reg(2, 10).alu_imm(AluOp::Add, 2, -24);
+                    a.call(HelperId::FibLookup);
+                    for r in 1..6 {
+                        a.mov_imm(r, 2);
+                    }
+                }
+                _ => {
+                    a.jmp_imm(JmpCond::Ne, s(rng), 0xffff, "drop");
+                }
+            }
+            a.label(&next);
+        }
+        a.mov_imm(0, 2).exit();
+        a.label("drop").mov_imm(0, 1).exit();
+        a.finish().unwrap()
+    }
+
+    /// Breaks a program the way the verifier must catch: offsets
+    /// flipped, negative or out of range, the packet guard dropped, a
+    /// register never written or out of range, the final exit gone, an
+    /// instruction deleted or replaced, an `off: 0` jump inserted.
+    fn mutate(rng: &mut linuxfp_sim::SimRng, v: &mut Vec<Insn>) {
+        let n = v.len();
+        let pc = rng.uniform_u64(n as u64) as usize;
+        match rng.uniform_u64(8) {
+            0 => {
+                let jumps: Vec<usize> = (0..n)
+                    .filter(|&i| {
+                        matches!(
+                            v[i],
+                            Insn::Ja { .. } | Insn::JmpImm { .. } | Insn::JmpReg { .. }
+                        )
+                    })
+                    .collect();
+                if let Some(&j) = jumps.get(rng.uniform_u64(jumps.len().max(1) as u64) as usize) {
+                    if let Insn::Ja { off } | Insn::JmpImm { off, .. } | Insn::JmpReg { off, .. } =
+                        &mut v[j]
+                    {
+                        *off = match rng.uniform_u64(4) {
+                            0 => -*off - 1,
+                            1 => (n - j - 1) as i32,
+                            2 => (n - j) as i32 + rng.uniform_u64(3) as i32,
+                            _ => rng.uniform_u64((n - j) as u64) as i32,
+                        };
+                    }
+                }
+            }
+            1 => {
+                v[4] = Insn::AluImm {
+                    op: AluOp::Mov,
+                    dst: 2,
+                    imm: 0,
+                };
+            }
+            2 => {
+                let r = 8 + rng.uniform_u64(2) as u8;
+                match &mut v[pc] {
+                    Insn::AluReg { src, .. } | Insn::Load { src, .. } | Insn::Store { src, .. } => {
+                        *src = r
+                    }
+                    Insn::JmpImm { dst, .. } | Insn::StoreImm { dst, .. } => *dst = r,
+                    _ => {
+                        v[pc] = Insn::AluReg {
+                            op: AluOp::Mov,
+                            dst: 0,
+                            src: r,
+                        }
+                    }
+                }
+            }
+            3 => {
+                v.pop();
+            }
+            4 => {
+                v.remove(pc);
+            }
+            5 => {
+                if let Insn::AluImm { dst, .. } | Insn::AluReg { dst, .. } = &mut v[pc] {
+                    *dst = 11 + rng.uniform_u64(2) as u8;
+                }
+            }
+            6 if rng.chance(0.3) => {
+                // Inside the prologue, while r1 is still the context.
+                v[rng.uniform_u64(5) as usize] = *rng.choose(&[
+                    Insn::StoreImm {
+                        size: MemSize::W,
+                        dst: 1,
+                        off: 0x10,
+                        imm: 1,
+                    },
+                    Insn::Load {
+                        size: MemSize::W,
+                        dst: 3,
+                        src: 1,
+                        off: 0x40,
+                    },
+                    Insn::AluImm {
+                        op: AluOp::Add,
+                        dst: 1,
+                        imm: 8,
+                    },
+                ]);
+            }
+            6 => {
+                v[pc] = *rng.choose(&[
+                    Insn::Exit,
+                    Insn::AluImm {
+                        op: AluOp::Lsh,
+                        dst: 3,
+                        imm: 64,
+                    },
+                    Insn::AluImm {
+                        op: AluOp::Div,
+                        dst: 3,
+                        imm: 0,
+                    },
+                    Insn::Load {
+                        size: MemSize::DW,
+                        dst: 3,
+                        src: 10,
+                        off: 8,
+                    },
+                    Insn::TailCall {
+                        prog_array: 0,
+                        index: 0,
+                    },
+                ]);
+            }
+            _ => {
+                v.insert(
+                    pc,
+                    if rng.chance(0.5) {
+                        Insn::Ja { off: 0 }
+                    } else {
+                        Insn::JmpReg {
+                            cond: JmpCond::Ge,
+                            dst: 6,
+                            src: 7,
+                            off: 0,
+                        }
+                    },
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_walk_agrees_with_the_per_pc_driver() {
+        let mut rng = linuxfp_sim::SimRng::seed(0x0917_7A1C);
+        let mut outcomes: BTreeMap<String, u32> = BTreeMap::new();
+        for case in 0..24_000 {
+            let mut insns = rand_program(&mut rng);
+            if case % 3 != 0 {
+                for _ in 0..1 + rng.uniform_u64(2) {
+                    if !insns.is_empty() {
+                        mutate(&mut rng, &mut insns);
+                    }
+                }
+            }
+            let walked = verify(&insns);
+            assert_eq!(walked, verify_per_pc(&insns), "case {case}: {insns:?}");
+            let kind = match &walked {
+                Ok(()) => "Ok".to_string(),
+                Err(e) => format!("{e:?}")
+                    .split([' ', '('])
+                    .next()
+                    .unwrap()
+                    .to_string(),
+            };
+            *outcomes.entry(kind).or_default() += 1;
+        }
+        for kind in [
+            "Ok",
+            "BackwardJump",
+            "JumpOutOfBounds",
+            "FallsOffEnd",
+            "UninitRead",
+            "PacketOutOfBounds",
+            "InvalidReg",
+            "NonPointerDeref",
+            "BadCtxAccess",
+            "WriteToCtx",
+            "StackOutOfBounds",
+            "InvalidShift",
+            "DivByZeroImm",
+            "BadHelperArg",
+            "InvalidPtrArith",
+            "BadPtrComparison",
+        ] {
+            assert!(
+                outcomes.get(kind).is_some_and(|&c| c >= 20),
+                "{kind} barely covered: {outcomes:?}"
+            );
+        }
+        assert!(outcomes["Ok"] >= 5_000, "{outcomes:?}");
     }
 }

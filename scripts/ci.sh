@@ -48,6 +48,23 @@ print(f"ok: {workload} allocs_per_op {allocs}")
 ' "$workload"
 done
 
+echo "==> verifying and optimizing allocate nothing per instruction: allocs_per_op <= 281 on reaction_storm"
+# Whole command cycles (six reactions) read 280.67 allocations per
+# reaction; a window that stops mid-cycle reads a little below, so the
+# gate is the ceiling. A verifier that allocates per instruction, run
+# three times per swapped program, read 1,790.
+cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+    run --workload reaction_storm --quick \
+  | tail -n 1 \
+  | python3 -c '
+import json, sys
+doc = json.load(sys.stdin)
+assert doc["correct"] and doc["failed"] == 0, "reaction_storm: oracle or ledger failed"
+allocs = doc["metrics"]["allocs_per_op"]["value"]
+assert allocs <= 281, f"FAIL: reaction_storm allocs_per_op {allocs} > 281"
+print(f"ok: reaction_storm allocs_per_op {allocs}")
+'
+
 echo "==> bench smoke: batching must not regress (burst 32 <= burst 1)"
 cargo run -q -p linuxfp-bench --bin repro --release -- batch_sweep \
   | awk '
