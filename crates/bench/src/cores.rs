@@ -131,7 +131,6 @@ mod tests {
     #[test]
     fn eight_shards_scale_at_least_five_fold() {
         let t = core_scaling_experiment();
-        // The acceptance gate scripts/ci.sh also enforces.
         let speedup = t.value("8", 2);
         assert!(speedup >= 5.0, "8-shard speedup {speedup}: {t}");
         // Wall time falls monotonically; CPU time per packet rises

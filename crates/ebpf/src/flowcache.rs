@@ -570,12 +570,9 @@ impl FlowCache {
         }
     }
 
-    /// Resolves the cache's telemetry counters in `registry` (idempotent;
-    /// the series carry no labels, so re-resolution is cheap and safe).
+    /// Resolves the cache's telemetry counters in `registry`, replacing any
+    /// earlier wiring; every cache wired to one registry shares the series.
     pub fn wire_telemetry(&mut self, registry: &Registry) {
-        if self.counters.hits.is_some() {
-            return;
-        }
         registry.describe(
             "linuxfp_flowcache_hits_total",
             "Packets whose verdict was served by the microflow cache",
@@ -608,11 +605,6 @@ impl FlowCache {
             invalidations: Some(registry.counter("linuxfp_flowcache_invalidations_total", &[])),
             evictions: Some(registry.counter("linuxfp_flowcache_evictions_total", &[])),
         };
-    }
-
-    /// Whether [`FlowCache::wire_telemetry`] has been called.
-    pub fn telemetry_wired(&self) -> bool {
-        self.counters.hits.is_some()
     }
 
     fn validate(&mut self, generation: u64) {

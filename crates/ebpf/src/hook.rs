@@ -7,23 +7,29 @@
 //! Fig. 4). [`Dispatcher`] reproduces that mechanism: `install` replaces
 //! the active program with one map update, and packets always see either
 //! the old or the new program.
+//!
+//! The dispatcher runs on every core. Where the paper keeps its per-core
+//! state in per-CPU map slots, a dispatcher here keeps one `Shard` per
+//! RSS receive queue — the microflow verdict cache, the resolved slot
+//! program and the shard's counter handles — behind one lock that only
+//! that queue's packets take. A cache hit takes that lock once; a miss
+//! takes it at most twice, before and after the program runs.
 
 use crate::asm::Asm;
 use crate::compile;
 use crate::flowcache::{self, FlowCache, FlowEntry, FlowKey, Probe};
-use crate::helpers::HelperEnv;
 use crate::insn::Action;
 use crate::maps::{MapId, MapStore};
 use crate::program::{LoadedProgram, Program};
 use crate::vm::{VmCtx, VmOutcome};
 use linuxfp_netstack::device::IfIndex;
-use linuxfp_netstack::stack::{HookFn, HookVerdict, Kernel};
+use linuxfp_netstack::stack::{rss, HookFn, HookVerdict, Kernel};
 use linuxfp_netstack::NetError;
-use linuxfp_packet::{rewrite, EthernetFrame};
-use linuxfp_sim::CostTracker;
-use linuxfp_telemetry::trace::{FlowCacheOutcome, PuntReason, TraceEvent};
+use linuxfp_packet::{rewrite, EthernetFrame, Packet};
+use linuxfp_sim::{CostModel, CostTracker};
+use linuxfp_telemetry::trace::{FlowCacheOutcome, PuntReason, TraceCtx, TraceEvent};
 use linuxfp_telemetry::{Counter, Registry};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Which kernel hook to attach to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,40 +40,58 @@ pub enum HookPoint {
     Tc,
 }
 
-/// Telemetry handles for one hook's data path: which verdicts the VM
-/// returned, how much work it did, and whether packets were handled in
-/// the fast path or fell back to the kernel slow path.
+impl HookPoint {
+    fn attach(self, kernel: &mut Kernel, dev: IfIndex, f: HookFn) -> Result<(), NetError> {
+        match self {
+            HookPoint::Xdp => kernel.attach_xdp(dev, f),
+            HookPoint::Tc => kernel.attach_tc_ingress(dev, f),
+        }
+    }
+}
+
+/// Telemetry handles for one dispatcher's data path: which verdicts the
+/// program returned, how much work it did, and whether packets were
+/// handled in the fast path or fell back to the kernel slow path.
 ///
 /// Counter handles are resolved once (at install/relabel time), so the
 /// per-packet cost is a few relaxed atomic increments — no label or map
 /// lookups on the data path. The conservation law the metrics support:
 /// `linuxfp_fp_hits_total + linuxfp_slowpath_fallbacks_total` equals the
 /// number of packets that entered the hook.
-#[derive(Debug, Clone)]
-pub struct HookStats {
+#[derive(Debug)]
+struct HookStats {
     /// Packets fully handled by the fast path (any verdict except PASS).
-    pub hits: Counter,
+    hits: Counter,
     /// Packets PASSed to the kernel slow path (including the dispatcher's
     /// empty-slot default).
-    pub fallbacks: Counter,
-    /// VM instructions executed (across tail calls).
-    pub vm_insns: Counter,
-    /// Helper calls made by the program.
-    pub helper_calls: Counter,
+    fallbacks: Counter,
+    vm_insns: Counter,
+    helper_calls: Counter,
     /// Division/modulo-by-zero events observed at runtime (Linux-defined
-    /// results, not faults — but worth watching: synthesized code should
-    /// never produce them).
-    pub div_zeros: Counter,
-    verdict_pass: Counter,
-    verdict_drop: Counter,
-    verdict_redirect: Counter,
-    verdict_deliver_user: Counter,
+    /// results, not faults — but synthesized code should never produce
+    /// them).
+    div_zeros: Counter,
+    /// `linuxfp_vm_verdicts_total`, indexed by [`verdict_kind`].
+    verdicts: [Counter; 4],
+}
+
+/// Hook verdict names, indexed by [`verdict_kind`]: the
+/// `linuxfp_vm_verdicts_total{verdict}` labels and the traced verdicts.
+const VERDICTS: [&str; 4] = ["pass", "drop", "redirect", "deliver_user"];
+
+fn verdict_kind(verdict: &HookVerdict) -> usize {
+    match verdict {
+        HookVerdict::Pass => 0,
+        HookVerdict::Drop => 1,
+        HookVerdict::Redirect(_) => 2,
+        HookVerdict::DeliverUser => 3,
+    }
 }
 
 impl HookStats {
     /// Creates (or re-resolves) the counters in `registry`, labelling
     /// hit/fallback counters with `fpm` and VM counters with `program`.
-    pub fn in_registry(registry: &Registry, program: &str, fpm: &str) -> HookStats {
+    fn in_registry(registry: &Registry, program: &str, fpm: &str) -> HookStats {
         registry.describe(
             "linuxfp_fp_hits_total",
             "Packets fully handled by an eBPF fast path (verdict != PASS)",
@@ -83,22 +107,6 @@ impl HookStats {
             "linuxfp_vm_div_zero_total",
             "Runtime BPF_DIV/BPF_MOD by zero events (Linux-defined results)",
         );
-        registry.describe(
-            "linuxfp_shard_fp_hits_total",
-            "Fast-path hits by owning RSS shard (only emitted when rss_shards > 1)",
-        );
-        registry.describe(
-            "linuxfp_shard_fallbacks_total",
-            "Slow-path fallbacks by owning RSS shard (only emitted when rss_shards > 1)",
-        );
-        registry.describe(
-            "linuxfp_shard_flowcache_hits_total",
-            "Microflow verdict cache hits by owning RSS shard (rss_shards > 1 only)",
-        );
-        registry.describe(
-            "linuxfp_shard_flowcache_misses_total",
-            "Microflow verdict cache misses by owning RSS shard (rss_shards > 1 only)",
-        );
         HookStats {
             hits: registry.counter("linuxfp_fp_hits_total", &[("fpm", fpm)]),
             fallbacks: registry.counter("linuxfp_slowpath_fallbacks_total", &[("fpm", fpm)]),
@@ -106,12 +114,9 @@ impl HookStats {
             helper_calls: registry
                 .counter("linuxfp_vm_helper_calls_total", &[("program", program)]),
             div_zeros: registry.counter("linuxfp_vm_div_zero_total", &[("program", program)]),
-            verdict_pass: registry.counter("linuxfp_vm_verdicts_total", &[("verdict", "pass")]),
-            verdict_drop: registry.counter("linuxfp_vm_verdicts_total", &[("verdict", "drop")]),
-            verdict_redirect: registry
-                .counter("linuxfp_vm_verdicts_total", &[("verdict", "redirect")]),
-            verdict_deliver_user: registry
-                .counter("linuxfp_vm_verdicts_total", &[("verdict", "deliver_user")]),
+            verdicts: VERDICTS.map(|verdict| {
+                registry.counter("linuxfp_vm_verdicts_total", &[("verdict", verdict)])
+            }),
         }
     }
 
@@ -122,31 +127,14 @@ impl HookStats {
         self.record_verdict(verdict);
     }
 
-    /// Counts a packet served by the microflow verdict cache: the
-    /// hit/fallback ledger and verdict tallies advance exactly as under
-    /// interpretation, but no VM instructions or helper calls ran.
-    fn record_cached(&self, verdict: &HookVerdict) {
-        self.record_verdict(verdict);
-    }
-
+    /// Advances the hit/fallback ledger and the verdict tallies — all a
+    /// packet served by the verdict cache counts, since no program ran.
     fn record_verdict(&self, verdict: &HookVerdict) {
-        match verdict {
-            HookVerdict::Pass => {
-                self.verdict_pass.inc();
-                self.fallbacks.inc();
-            }
-            HookVerdict::Drop => {
-                self.verdict_drop.inc();
-                self.hits.inc();
-            }
-            HookVerdict::Redirect(_) => {
-                self.verdict_redirect.inc();
-                self.hits.inc();
-            }
-            HookVerdict::DeliverUser => {
-                self.verdict_deliver_user.inc();
-                self.hits.inc();
-            }
+        self.verdicts[verdict_kind(verdict)].inc();
+        if matches!(verdict, HookVerdict::Pass) {
+            self.fallbacks.inc();
+        } else {
+            self.hits.inc();
         }
     }
 }
@@ -164,208 +152,186 @@ struct HookTelemetry {
 
 type TelemetryCell = Arc<Mutex<Option<HookTelemetry>>>;
 
-/// Cached resolution of a dispatcher's program-array slot.
-///
-/// The first packet after any coherence change walks the dispatcher
-/// (paying the entry insns and the tail-call charge) and records the
-/// slot's resolved program here, stamped with the combined generation
-/// ([`Kernel::state_generation`] + [`MapStore::prog_generation`]). Later
-/// packets run the resolved program directly until the generation moves —
-/// a data-path swap bumps the program generation, so a stale resolution
-/// can never outlive the program it points to. This is the same (and
-/// only) invalidation mechanism the microflow verdict cache uses.
+/// One shard's slice of the hook ledger. Summed over shards, each
+/// `linuxfp_shard_*{shard}` series equals its global counterpart.
 #[derive(Debug)]
-struct BatchCache {
-    gen: u64,
-    resolved: LoadedProgram,
+struct ShardSeries {
+    fp_hits: Counter,
+    fallbacks: Counter,
+    flowcache_hits: Counter,
+    flowcache_misses: Counter,
 }
 
-type BatchCacheCell = Arc<Mutex<Option<BatchCache>>>;
+impl ShardSeries {
+    fn in_registry(registry: &Registry, shard: &str) -> ShardSeries {
+        registry.describe(
+            "linuxfp_shard_fp_hits_total",
+            "Fast-path hits by owning RSS shard (only emitted when rss_shards > 1)",
+        );
+        registry.describe(
+            "linuxfp_shard_fallbacks_total",
+            "Slow-path fallbacks by owning RSS shard (only emitted when rss_shards > 1)",
+        );
+        registry.describe(
+            "linuxfp_shard_flowcache_hits_total",
+            "Microflow verdict cache hits by owning RSS shard (rss_shards > 1 only)",
+        );
+        registry.describe(
+            "linuxfp_shard_flowcache_misses_total",
+            "Microflow verdict cache misses by owning RSS shard (rss_shards > 1 only)",
+        );
+        let labels = [("shard", shard)];
+        ShardSeries {
+            fp_hits: registry.counter("linuxfp_shard_fp_hits_total", &labels),
+            fallbacks: registry.counter("linuxfp_shard_fallbacks_total", &labels),
+            flowcache_hits: registry.counter("linuxfp_shard_flowcache_hits_total", &labels),
+            flowcache_misses: registry.counter("linuxfp_shard_flowcache_misses_total", &labels),
+        }
+    }
 
-/// Cache slots kept per hook: one verdict cache + one slot resolution per
-/// possible RSS shard, indexed by `Packet::rx_queue`. An unsharded kernel
-/// always steers to queue 0, so slot 0 behaves exactly like the single
-/// cache it replaced.
-const SHARD_SLOTS: usize = 16;
-
-/// Bumps the per-shard hit/fallback ledger. Only called when the datapath
-/// is sharded, so single-core runs never grow a shard dimension; the
-/// per-shard series sum to the global `linuxfp_fp_hits_total` /
-/// `linuxfp_slowpath_fallbacks_total` ledger.
-fn record_shard_verdict(telemetry: &TelemetryCell, shard: usize, verdict: &HookVerdict) {
-    let series = if matches!(verdict, HookVerdict::Pass) {
-        "linuxfp_shard_fallbacks_total"
-    } else {
-        "linuxfp_shard_fp_hits_total"
-    };
-    bump_shard(telemetry, series, shard);
-}
-
-/// Increments a shard-labelled counter, if telemetry is wired.
-fn bump_shard(telemetry: &TelemetryCell, series: &str, shard: usize) {
-    if let Some(t) = telemetry.lock().unwrap().as_ref() {
-        let label = shard.to_string();
-        t.registry
-            .counter(series, &[("shard", label.as_str())])
-            .inc();
+    fn record_verdict(&self, verdict: &HookVerdict) {
+        if matches!(verdict, HookVerdict::Pass) {
+            self.fallbacks.inc();
+        } else {
+            self.fp_hits.inc();
+        }
     }
 }
 
-/// Builds a [`HookFn`] that executes `prog` in the VM against each
-/// packet, translating VM verdicts to kernel hook verdicts.
-pub fn hook_fn_for(prog: LoadedProgram, maps: MapStore, hook: HookPoint) -> HookFn {
-    hook_fn_with_cell(prog, maps, hook, Arc::new(Mutex::new(None)))
+/// One RSS shard's state in a dispatcher hook, owned by the packets
+/// steered to its receive queue.
+#[derive(Debug)]
+struct Shard {
+    /// The shard's microflow verdict cache, which holds its own six
+    /// `linuxfp_flowcache_*` handles.
+    flows: FlowCache,
+    /// The dispatcher slot's program, stamped with the combined generation
+    /// ([`Kernel::state_generation`] + [`MapStore::prog_generation`]) it
+    /// was resolved under. The first packet under a new generation walks
+    /// the dispatcher (paying the entry insns and the tail-call charge)
+    /// and stores what the slot held; later packets run it directly. A
+    /// swap bumps the program generation, so a resolution never outlives
+    /// the program it names — the same, and only, invalidation the verdict
+    /// cache uses.
+    slot: Option<(u64, LoadedProgram)>,
+    /// The `shard` label value.
+    label: &'static str,
+    /// Once telemetry is enabled: the registry, and the shard series
+    /// resolved from it on the first sharded packet — so an unsharded run
+    /// never grows a shard dimension.
+    telemetry: Option<(Registry, Option<ShardSeries>)>,
 }
 
-/// Like [`hook_fn_for`], recording per-packet telemetry into `registry`.
-/// Both the VM counters and the hit/fallback counters are labelled with
-/// the program's name (directly-attached programs have no FPM pipeline).
-pub fn hook_fn_instrumented(
+impl Shard {
+    fn new(label: &'static str) -> Shard {
+        Shard {
+            flows: FlowCache::new(flowcache::DEFAULT_CAPACITY),
+            slot: None,
+            label,
+            telemetry: None,
+        }
+    }
+
+    /// Starts counting into `registry`: the flow cache's series from the
+    /// next packet, the shard series from the next sharded one.
+    fn wire_telemetry(&mut self, registry: &Registry) {
+        self.flows.wire_telemetry(registry);
+        self.telemetry = Some((registry.clone(), None));
+    }
+
+    /// The shard series, when the datapath is sharded and telemetry is on.
+    fn series(&mut self, sharded: bool) -> Option<&ShardSeries> {
+        let (registry, series) = self.telemetry.as_mut().filter(|_| sharded)?;
+        Some(series.get_or_insert_with(|| ShardSeries::in_registry(registry, self.label)))
+    }
+}
+
+/// The hook running `prog` on each packet, translating program verdicts
+/// to kernel hook verdicts. With `dispatcher` set, `prog` is that
+/// dispatcher's entry program and the hook uses its shards and telemetry;
+/// a directly attached program keeps no caches and no telemetry.
+fn hook_fn(
     prog: LoadedProgram,
     maps: MapStore,
     hook: HookPoint,
-    registry: &Registry,
+    dispatcher: Option<Dispatcher>,
 ) -> HookFn {
-    let stats = HookStats::in_registry(registry, prog.name(), prog.name());
-    let cell = Arc::new(Mutex::new(Some(HookTelemetry {
-        registry: registry.clone(),
-        program: prog.name().to_string(),
-        fpm: prog.name().to_string(),
-        stats,
-    })));
-    hook_fn_with_cell(prog, maps, hook, cell)
-}
-
-fn hook_fn_with_cell(
-    prog: LoadedProgram,
-    maps: MapStore,
-    hook: HookPoint,
-    telemetry: TelemetryCell,
-) -> HookFn {
-    hook_fn_inner(prog, maps, hook, telemetry, None)
-}
-
-fn hook_fn_inner(
-    prog: LoadedProgram,
-    maps: MapStore,
-    hook: HookPoint,
-    telemetry: TelemetryCell,
-    dispatch: Option<(MapId, usize)>,
-) -> HookFn {
-    // Both caches shard with the datapath: each RSS queue owns a private
-    // verdict cache and slot resolution, so cores never contend on cache
-    // lines and a flow's cached state stays wherever RSS steers it.
-    let batch_caches: Vec<BatchCacheCell> = (0..SHARD_SLOTS)
-        .map(|_| Arc::new(Mutex::new(None)))
-        .collect();
-    let flow_caches: Vec<Arc<Mutex<FlowCache>>> = (0..SHARD_SLOTS)
-        .map(|_| Arc::new(Mutex::new(FlowCache::new(flowcache::DEFAULT_CAPACITY))))
-        .collect();
     let hook_name = match hook {
         HookPoint::Xdp => "xdp",
         HookPoint::Tc => "tc",
     };
     Arc::new(move |kernel: &mut Kernel, packet, tracker, trace| {
         let cost = kernel.cost_model_arc();
-        // The fast path keys both caches on the combined generation below,
+        // The shard's state is keyed on the combined generation below,
         // which folds in every shared structure: reading it is where a
         // sharded datapath observes other cores' writes, so any stale
         // structure is charged here before the generation is read.
         kernel.coherence_charge_fastpath(tracker, trace);
-        // The one coherence number both caches key on: any kernel state
-        // mutation, time advance, or data-path swap changes it.
+        // The one coherence number the shard's state keys on: any kernel
+        // state mutation, time advance, or data-path swap changes it.
         let gen = kernel
             .state_generation()
             .wrapping_add(maps.prog_generation());
         let ingress = packet.ingress_ifindex;
         let rx_queue = packet.rx_queue;
-        let shard = (rx_queue as usize).min(SHARD_SLOTS - 1);
         let sharded = kernel.rss_shards() > 1;
-        let batch_cache = &batch_caches[shard];
-        let flow_cache = &flow_caches[shard];
 
-        // ---- microflow verdict cache: hit path -----------------------
-        // Only dispatcher-driven hooks cache verdicts (directly attached
-        // programs bypass the whole mechanism), and only while the
+        // ---- first shard lock: the verdict cache, then the slot ------
+        // Only dispatcher-driven hooks cache verdicts, and only while the
         // net.linuxfp.flow_cache sysctl is on.
-        let cache_on = dispatch.is_some() && kernel.flow_cache_enabled();
-        let key = if cache_on {
-            FlowKey::extract(&packet.data, IfIndex(ingress))
-        } else {
-            None
-        };
+        let cache_on = dispatcher.is_some() && kernel.flow_cache_enabled();
+        let key = cache_on
+            .then(|| FlowKey::extract(&packet.data, IfIndex(ingress)))
+            .flatten();
         // Set when this miss is the flow's second sighting: its run is the
         // one to record.
         let mut admitted = None;
         let mut invalidated = false;
-        if cache_on {
-            let mut fc = flow_cache.lock().unwrap();
-            if !fc.telemetry_wired() {
-                if let Some(t) = telemetry.lock().unwrap().as_ref() {
-                    fc.wire_telemetry(&t.registry);
+        let mut resolved = None;
+        if let Some(d) = &dispatcher {
+            let mut shard = d.lock_shard(rx_queue);
+            if cache_on {
+                // Compared *before* the probe (which flushes lazily on a
+                // generation change) to tell an invalidation miss from a
+                // cold one; only the sampled path pays the reads.
+                invalidated =
+                    trace.enabled() && !shard.flows.is_empty() && shard.flows.generation() != gen;
+                if let Some(k) = &key {
+                    match shard.flows.probe(gen, k) {
+                        Probe::Hit(entry) => {
+                            if let Some(series) = shard.series(sharded) {
+                                series.record_verdict(&entry.verdict);
+                                series.flowcache_hits.inc();
+                            }
+                            drop(shard);
+                            return d.serve_hit(&entry, kernel, packet, tracker, trace, &cost);
+                        }
+                        Probe::Admitted(admission) => admitted = Some(admission),
+                        Probe::FirstSighting => {}
+                    }
+                }
+                shard.flows.note_miss();
+                if let Some(series) = shard.series(sharded) {
+                    series.flowcache_misses.inc();
                 }
             }
-            // Compared *before* the probe (which flushes lazily on a
-            // generation change) to tell an invalidation miss from a
-            // cold one; only the sampled path pays the reads.
-            invalidated = trace.enabled() && !fc.is_empty() && fc.generation() != gen;
-            if let Some(k) = &key {
-                let entry = match fc.probe(gen, k) {
-                    Probe::Hit(entry) => Some(entry),
-                    Probe::Admitted(admission) => {
-                        admitted = Some(admission);
-                        None
-                    }
-                    Probe::FirstSighting => None,
-                };
-                if let Some(entry) = entry {
-                    drop(fc);
-                    rewrite::apply_ops(&mut packet.data, &entry.ops);
-                    flowcache::replay_touches(&entry.touches, kernel);
-                    // The replay wrote shared state on this shard's
-                    // behalf: its own writes must not read as remote.
-                    kernel.coherence_refresh_fastpath();
-                    tracker.charge("flowcache_hit", cost.flowcache_hit_ns);
-                    trace.event(|| TraceEvent::FlowCache {
-                        outcome: FlowCacheOutcome::Hit,
-                    });
-                    if matches!(entry.verdict, HookVerdict::Pass) {
-                        trace.event(|| TraceEvent::Punt {
-                            reason: PuntReason::CachedPass,
-                        });
-                    }
-                    if let Some(t) = telemetry.lock().unwrap().as_ref() {
-                        t.stats.record_cached(&entry.verdict);
-                    }
-                    if sharded {
-                        record_shard_verdict(&telemetry, shard, &entry.verdict);
-                        bump_shard(&telemetry, "linuxfp_shard_flowcache_hits_total", shard);
-                    }
-                    return entry.verdict;
-                }
-            }
-            fc.note_miss();
-            if sharded {
-                bump_shard(&telemetry, "linuxfp_shard_flowcache_misses_total", shard);
-            }
+            // The slot's program, if a packet under `gen` resolved it.
+            resolved = shard
+                .slot
+                .as_ref()
+                .filter(|(g, _)| *g == gen)
+                .map(|(_, p)| p.clone());
         }
 
         // ---- miss: run the program (recording helper touches) --------
-        // A packet under an unchanged generation runs the slot's program
-        // directly, skipping the dispatcher walk (see [`BatchCache`]).
-        let cached = dispatch.and_then(|_| {
-            let cache = batch_cache.lock().unwrap();
-            cache
-                .as_ref()
-                .filter(|c| c.gen == gen)
-                .map(|c| c.resolved.clone())
-        });
         // A statically uncacheable slot program fails the first recording
         // gate whatever it does: skip the frame copy and the helper log.
-        let record = admitted.filter(|_| cached.as_ref().is_none_or(LoadedProgram::cacheable));
-        if cache_on {
+        let record = admitted.filter(|_| resolved.as_ref().is_none_or(LoadedProgram::cacheable));
+        if dispatcher.is_some() {
             trace.event(|| TraceEvent::FlowCache {
-                outcome: if key.is_none() {
+                outcome: if !cache_on {
+                    FlowCacheOutcome::MissDisabled
+                } else if key.is_none() {
                     FlowCacheOutcome::MissIneligible
                 } else if invalidated {
                     FlowCacheOutcome::MissInvalidated
@@ -374,10 +340,6 @@ fn hook_fn_inner(
                 } else {
                     FlowCacheOutcome::MissCold
                 },
-            });
-        } else if dispatch.is_some() {
-            trace.event(|| TraceEvent::FlowCache {
-                outcome: FlowCacheOutcome::MissDisabled,
             });
         }
         let before_frame = record.is_some().then(|| packet.data.to_vec());
@@ -390,55 +352,25 @@ fn hook_fn_inner(
             }
         }
         let interp_start = tracker.total_ns();
-        // Resolving a human-readable program name is only worth the
-        // String when this packet is sampled.
-        let traced = trace.enabled();
-        // (outcome, cacheable, traced program name, dispatcher slot empty)
-        let run = |env: &mut dyn HelperEnv,
-                   tracker: &mut CostTracker|
-         -> (VmOutcome, bool, Option<String>, bool) {
-            match cached {
-                Some(resolved) => {
-                    let cacheable = resolved.cacheable();
-                    let name = traced.then(|| resolved.name().to_string());
-                    (
-                        compile::run(&resolved, ctx, env, &maps, &cost, tracker),
-                        cacheable,
-                        name,
-                        false,
-                    )
-                }
-                None => {
-                    let out = compile::run(&prog, ctx, env, &maps, &cost, tracker);
-                    let resolved = dispatch.and_then(|(pa, slot)| maps.prog_array_get(pa, slot));
-                    let slot_empty = dispatch.is_some() && resolved.is_none();
-                    let name = traced.then(|| match &resolved {
-                        Some(r) => r.name().to_string(),
-                        None => prog.name().to_string(),
-                    });
-                    let cacheable =
-                        prog.cacheable() && resolved.as_ref().is_none_or(|r| r.cacheable());
-                    if dispatch.is_some() {
-                        *batch_cache.lock().unwrap() =
-                            resolved.map(|resolved| BatchCache { gen, resolved });
-                    }
-                    (out, cacheable, name, slot_empty)
-                }
-            }
-        };
-        let (out, ran_cacheable, prog_name, slot_empty, touches) = if record.is_some() {
+        // A resolved slot runs directly, skipping the dispatcher walk.
+        let start = resolved.as_ref().unwrap_or(&prog);
+        let (out, touches) = if record.is_some() {
             let mut rec = flowcache::RecordingEnv::new(kernel);
-            let (out, cacheable, name, slot_empty) = run(&mut rec, tracker);
-            (out, cacheable, name, slot_empty, rec.into_touches())
+            let out = compile::run(start, ctx, &mut rec, &maps, &cost, tracker);
+            (out, rec.into_touches())
         } else {
-            let (out, cacheable, name, slot_empty) = run(&mut *kernel, tracker);
-            (out, cacheable, name, slot_empty, Vec::new())
+            let out = compile::run(start, ctx, kernel, &maps, &cost, tracker);
+            (out, Vec::new())
         };
         let interp_ns = tracker.total_ns() - interp_start;
         // Helpers may have written shared state (conntrack commits, FDB
         // learning): resync this shard's view so its own writes don't
         // read back as remote on the next packet.
         kernel.coherence_refresh_fastpath();
+        // What the slot holds: the resolved program, or whatever this
+        // packet's walk of the dispatcher found there.
+        let walked = resolved.is_none();
+        let slot = resolved.or_else(|| dispatcher.as_ref().and_then(Dispatcher::installed));
         let verdict = match out.action {
             Action::Pass => HookVerdict::Pass,
             // Real XDP treats ABORTED like DROP (plus a tracepoint).
@@ -454,22 +386,17 @@ fn hook_fn_inner(
             },
         };
         trace.event(|| TraceEvent::Vm {
-            program: prog_name.unwrap_or_default(),
+            program: slot.as_ref().unwrap_or(&prog).name().into(),
             hook: hook_name,
             insns: out.insns_executed,
             helpers: out.helper_calls,
             tail_calls: out.tail_calls,
-            verdict: match verdict {
-                HookVerdict::Pass => "pass",
-                HookVerdict::Drop => "drop",
-                HookVerdict::Redirect(_) => "redirect",
-                HookVerdict::DeliverUser => "deliver_user",
-            },
+            verdict: VERDICTS[verdict_kind(&verdict)],
             ns: interp_ns,
         });
         if matches!(verdict, HookVerdict::Pass) {
             trace.event(|| TraceEvent::Punt {
-                reason: if slot_empty {
+                reason: if dispatcher.is_some() && slot.is_none() {
                     PuntReason::EmptySlot
                 } else if out.l7_punt {
                     // The L7 helper could not parse the request line; the
@@ -480,6 +407,9 @@ fn hook_fn_inner(
                 },
             });
         }
+        let Some(d) = &dispatcher else {
+            return verdict;
+        };
 
         // ---- record the flow, if every gate passes -------------------
         // Gates: the programs that ran honor the static cacheability
@@ -488,39 +418,50 @@ fn hook_fn_inner(
         // cache must never decelerate a path — trivial programs stay
         // interpreted); and the frame diff reduces to replayable rewrite
         // ops that verifiably reproduce the observed output.
-        if let (Some(admission), Some(before), Some(k)) = (record, before_frame, key) {
-            let replayable_verdict =
-                !matches!(verdict, HookVerdict::DeliverUser) && out.action != Action::Aborted;
-            let mut entry = None;
-            // An allow-without-pin L7 verdict depends on this segment's
-            // payload, which the flow key does not pin — never cache it.
-            if ran_cacheable
-                && replayable_verdict
-                && !out.l7_uncacheable
-                && interp_ns > cost.flowcache_hit_ns
-            {
-                if let Some(ops) = rewrite::derive_ops(&before, &packet.data, k.l3_offset()) {
+        let recorded = record
+            .zip(before_frame)
+            .zip(key)
+            .map(|((admission, before), k)| {
+                let replayable_verdict =
+                    !matches!(verdict, HookVerdict::DeliverUser) && out.action != Action::Aborted;
+                // An allow-without-pin L7 verdict depends on this segment's
+                // payload, which the flow key does not pin — never cache it.
+                let gated = prog.cacheable()
+                    && slot.as_ref().is_none_or(LoadedProgram::cacheable)
+                    && replayable_verdict
+                    && !out.l7_uncacheable
+                    && interp_ns > cost.flowcache_hit_ns;
+                let ops = gated.then(|| rewrite::derive_ops(&before, &packet.data, k.l3_offset()));
+                let entry = ops.flatten().and_then(|ops| {
                     let mut check = before;
                     rewrite::apply_ops(&mut check, &ops);
-                    if check[..] == packet.data[..] {
-                        entry = Some(FlowEntry {
-                            verdict,
-                            ops,
-                            touches,
-                        });
-                    }
-                }
-            }
-            flow_cache.lock().unwrap().record(admission, &k, entry);
-        }
+                    (check[..] == packet.data[..]).then_some(FlowEntry {
+                        verdict,
+                        ops,
+                        touches,
+                    })
+                });
+                (admission, k, entry)
+            });
 
+        // ---- second shard lock: keep the walk's resolution, file the
+        // recording, count the verdict on the shard -------------------
+        if walked || recorded.is_some() || sharded {
+            let mut shard = d.lock_shard(rx_queue);
+            if walked {
+                shard.slot = slot.map(|prog| (gen, prog));
+            }
+            if let Some((admission, k, entry)) = recorded {
+                shard.flows.record(admission, &k, entry);
+            }
+            if let Some(series) = shard.series(sharded) {
+                series.record_verdict(&verdict);
+            }
+        }
         // Telemetry counters are real atomics with no virtual-time
         // charge: observability must not perturb the modeled costs.
-        if let Some(t) = telemetry.lock().unwrap().as_ref() {
+        if let Some(t) = d.lock_telemetry().as_ref() {
             t.stats.record(&out, &verdict);
-        }
-        if sharded {
-            record_shard_verdict(&telemetry, shard, &verdict);
         }
         verdict
     })
@@ -538,11 +479,7 @@ pub fn attach(
     prog: LoadedProgram,
     maps: MapStore,
 ) -> Result<(), NetError> {
-    let f = hook_fn_for(prog, maps, hook);
-    match hook {
-        HookPoint::Xdp => kernel.attach_xdp(dev, f),
-        HookPoint::Tc => kernel.attach_tc_ingress(dev, f),
-    }
+    hook.attach(kernel, dev, hook_fn(prog, maps, hook, None))
 }
 
 /// The per-interface dispatcher: a constant entry program that tail-calls
@@ -553,6 +490,9 @@ pub struct Dispatcher {
     prog_array: MapId,
     slot: usize,
     telemetry: TelemetryCell,
+    /// The hook's per-shard state, indexed by `Packet::rx_queue`; an
+    /// unsharded kernel steers every packet to queue 0.
+    shards: Arc<[Mutex<Shard>]>,
 }
 
 impl Dispatcher {
@@ -564,25 +504,73 @@ impl Dispatcher {
             prog_array,
             slot: 0,
             telemetry: Arc::new(Mutex::new(None)),
+            shards: rss::SHARD_LABELS
+                .iter()
+                .map(|&label| Mutex::new(Shard::new(label)))
+                .collect(),
         }
     }
 
+    fn lock_telemetry(&self) -> MutexGuard<'_, Option<HookTelemetry>> {
+        self.telemetry
+            .lock()
+            .expect("a packet panicked holding the telemetry")
+    }
+
+    fn lock_shard(&self, rx_queue: u32) -> MutexGuard<'_, Shard> {
+        self.shards[(rx_queue as usize).min(self.shards.len() - 1)]
+            .lock()
+            .expect("a packet panicked holding its shard")
+    }
+
+    /// Serves a packet from its flow's recorded entry: applies the
+    /// rewrite, replays the helper touches, charges the flat hit price and
+    /// counts the verdict in the hook ledger.
+    fn serve_hit(
+        &self,
+        entry: &FlowEntry,
+        kernel: &mut Kernel,
+        packet: &mut Packet,
+        tracker: &mut CostTracker,
+        trace: &mut TraceCtx,
+        cost: &CostModel,
+    ) -> HookVerdict {
+        rewrite::apply_ops(&mut packet.data, &entry.ops);
+        flowcache::replay_touches(&entry.touches, kernel);
+        // The replay wrote shared state on this shard's behalf: its own
+        // writes must not read as remote.
+        kernel.coherence_refresh_fastpath();
+        tracker.charge("flowcache_hit", cost.flowcache_hit_ns);
+        trace.event(|| TraceEvent::FlowCache {
+            outcome: FlowCacheOutcome::Hit,
+        });
+        if matches!(entry.verdict, HookVerdict::Pass) {
+            trace.event(|| TraceEvent::Punt {
+                reason: PuntReason::CachedPass,
+            });
+        }
+        if let Some(t) = self.lock_telemetry().as_ref() {
+            t.stats.record_verdict(&entry.verdict);
+        }
+        entry.verdict
+    }
+
     /// Enables telemetry for this dispatcher's hook: per-packet verdict,
-    /// instruction and hit/fallback counters land in `registry`. Until a
-    /// data path is installed the series carry `fpm="none"`.
+    /// instruction and hit/fallback counters land in `registry`, as do the
+    /// flow-cache counters and, on a sharded datapath, the per-shard ones.
+    /// Counting starts with the next packet, whether or not the hook is
+    /// attached yet or has carried traffic. Until a data path is installed
+    /// the series carry `fpm="none"`.
     pub fn enable_telemetry(&self, registry: &Registry) {
-        let mut cell = self.telemetry.lock().unwrap();
-        *cell = Some(HookTelemetry {
+        *self.lock_telemetry() = Some(HookTelemetry {
             registry: registry.clone(),
             program: "linuxfp_dispatcher".to_string(),
             fpm: "none".to_string(),
             stats: HookStats::in_registry(registry, "linuxfp_dispatcher", "none"),
         });
-    }
-
-    /// Whether [`Dispatcher::enable_telemetry`] has been called.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.lock().unwrap().is_some()
+        for rx_queue in 0..rss::MAX_RSS_SHARDS {
+            self.lock_shard(rx_queue).wire_telemetry(registry);
+        }
     }
 
     /// Re-labels this dispatcher's hit/fallback counters with the FPM
@@ -590,23 +578,12 @@ impl Dispatcher {
     /// Labels are sticky across uninstall so late packets still count
     /// against the last active data path. No-op without telemetry.
     pub fn set_fpm_label(&self, fpm: &str) {
-        let mut cell = self.telemetry.lock().unwrap();
-        if let Some(t) = cell.as_mut() {
+        if let Some(t) = self.lock_telemetry().as_mut() {
             if t.fpm != fpm {
                 t.fpm = fpm.to_string();
                 t.stats = HookStats::in_registry(&t.registry, &t.program, &t.fpm);
             }
         }
-    }
-
-    /// The current snapshot of this dispatcher's counters, if telemetry
-    /// is enabled.
-    pub fn stats(&self) -> Option<HookStats> {
-        self.telemetry
-            .lock()
-            .unwrap()
-            .as_ref()
-            .map(|t| t.stats.clone())
     }
 
     /// The dispatcher entry program: `r0 = PASS; tail_call(slot);
@@ -621,7 +598,8 @@ impl Dispatcher {
             .expect("dispatcher is trivially verifiable")
     }
 
-    /// Attaches the dispatcher to a device hook.
+    /// Attaches the dispatcher to a device hook. A dispatcher serves one
+    /// device: attaching it again shares its per-shard state.
     ///
     /// # Errors
     ///
@@ -632,32 +610,20 @@ impl Dispatcher {
         dev: IfIndex,
         hook: HookPoint,
     ) -> Result<(), NetError> {
-        let f = hook_fn_inner(
-            self.entry_program(),
-            self.maps.clone(),
-            hook,
-            Arc::clone(&self.telemetry),
-            Some((self.prog_array, self.slot)),
-        );
-        match hook {
-            HookPoint::Xdp => kernel.attach_xdp(dev, f),
-            HookPoint::Tc => kernel.attach_tc_ingress(dev, f),
-        }
+        let (entry, maps) = (self.entry_program(), self.maps.clone());
+        hook.attach(kernel, dev, hook_fn(entry, maps, hook, Some(self.clone())))
     }
 
     /// Atomically installs (or replaces) the active data path.
     pub fn install(&self, prog: LoadedProgram) {
-        {
-            let mut cell = self.telemetry.lock().unwrap();
-            if let Some(t) = cell.as_mut() {
-                t.registry.events().push(
-                    "swap",
-                    format!("install {} ({} insns)", prog.name(), prog.len()),
-                );
-                if t.program != prog.name() {
-                    t.program = prog.name().to_string();
-                    t.stats = HookStats::in_registry(&t.registry, &t.program, &t.fpm);
-                }
+        if let Some(t) = self.lock_telemetry().as_mut() {
+            t.registry.events().push(
+                "swap",
+                format!("install {} ({} insns)", prog.name(), prog.len()),
+            );
+            if t.program != prog.name() {
+                t.program = prog.name().to_string();
+                t.stats = HookStats::in_registry(&t.registry, &t.program, &t.fpm);
             }
         }
         self.maps
@@ -667,7 +633,7 @@ impl Dispatcher {
 
     /// Removes the active data path; packets fall back to the slow path.
     pub fn uninstall(&self) {
-        if let Some(t) = self.telemetry.lock().unwrap().as_ref() {
+        if let Some(t) = self.lock_telemetry().as_ref() {
             t.registry
                 .events()
                 .push("swap", "uninstall (slot empty, PASS)");
@@ -681,18 +647,13 @@ impl Dispatcher {
     pub fn installed(&self) -> Option<LoadedProgram> {
         self.maps.prog_array_get(self.prog_array, self.slot)
     }
-
-    /// The backing map store.
-    pub fn maps(&self) -> &MapStore {
-        &self.maps
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use linuxfp_netstack::stack::IfAddr;
-    use linuxfp_packet::{builder, MacAddr};
+    use linuxfp_packet::{builder, Batch, MacAddr};
     use std::net::Ipv4Addr;
 
     fn kernel_with_nic() -> (Kernel, IfIndex) {
@@ -704,20 +665,36 @@ mod tests {
         (k, eth0)
     }
 
-    fn drop_prog() -> LoadedProgram {
+    /// A program returning `action` after `filler` instructions.
+    fn verdict_prog(name: &str, action: Action, filler: i64) -> LoadedProgram {
         let mut a = Asm::new();
-        a.mov_imm(0, Action::Drop.code() as i64);
+        for i in 0..filler {
+            a.mov_imm(2, i);
+        }
+        a.mov_imm(0, action.code() as i64);
         a.exit();
-        LoadedProgram::load(Program::new("drop_all", a.finish().unwrap())).unwrap()
+        LoadedProgram::load(Program::new(name, a.finish().unwrap())).unwrap()
     }
 
-    fn frame_for(k: &Kernel, dev: IfIndex) -> Vec<u8> {
+    fn drop_prog() -> LoadedProgram {
+        verdict_prog("drop_all", Action::Drop, 0)
+    }
+
+    fn burst(k: &Kernel, dev: IfIndex, n: usize) -> Batch {
+        let mut batch = Batch::new();
+        for _ in 0..n {
+            batch.push(flow_frame(k, dev, 1));
+        }
+        batch
+    }
+
+    fn flow_frame(k: &Kernel, dev: IfIndex, sport: u16) -> Vec<u8> {
         builder::udp_packet(
             MacAddr::from_index(9),
             k.device(dev).unwrap().mac,
             Ipv4Addr::new(10, 0, 0, 2),
             Ipv4Addr::new(10, 0, 0, 1),
-            1,
+            sport,
             2,
             b"x",
         )
@@ -727,7 +704,7 @@ mod tests {
     fn direct_attach_drop_program() {
         let (mut k, eth0) = kernel_with_nic();
         attach(&mut k, eth0, HookPoint::Xdp, drop_prog(), MapStore::new()).unwrap();
-        let out = k.receive(eth0, frame_for(&k, eth0));
+        let out = k.receive(eth0, flow_frame(&k, eth0, 1));
         assert_eq!(out.drops(), vec!["xdp drop"]);
     }
 
@@ -737,7 +714,7 @@ mod tests {
         let d = Dispatcher::new(MapStore::new());
         d.attach(&mut k, eth0, HookPoint::Xdp).unwrap();
         // No data path installed: local UDP is delivered by the slow path.
-        let out = k.receive(eth0, frame_for(&k, eth0));
+        let out = k.receive(eth0, flow_frame(&k, eth0, 1));
         assert_eq!(out.deliveries().len(), 1);
         assert!(d.installed().is_none());
     }
@@ -749,19 +726,15 @@ mod tests {
         d.attach(&mut k, eth0, HookPoint::Xdp).unwrap();
         d.install(drop_prog());
         assert_eq!(d.installed().unwrap().name(), "drop_all");
-        let out = k.receive(eth0, frame_for(&k, eth0));
+        let out = k.receive(eth0, flow_frame(&k, eth0, 1));
         assert_eq!(out.drops(), vec!["xdp drop"]);
         // Swap to a PASS program: traffic flows again, no re-attach.
-        let mut a = Asm::new();
-        a.mov_imm(0, Action::Pass.code() as i64);
-        a.exit();
-        let pass = LoadedProgram::load(Program::new("pass_all", a.finish().unwrap())).unwrap();
-        d.install(pass);
-        let out = k.receive(eth0, frame_for(&k, eth0));
+        d.install(verdict_prog("pass_all", Action::Pass, 0));
+        let out = k.receive(eth0, flow_frame(&k, eth0, 1));
         assert_eq!(out.deliveries().len(), 1);
         // Uninstall: back to slow-path-only.
         d.uninstall();
-        let out = k.receive(eth0, frame_for(&k, eth0));
+        let out = k.receive(eth0, flow_frame(&k, eth0, 1));
         assert_eq!(out.deliveries().len(), 1);
     }
 
@@ -776,12 +749,11 @@ mod tests {
         k.set_telemetry(registry.clone());
         let d = Dispatcher::new(MapStore::new());
         d.enable_telemetry(&registry);
-        assert!(d.telemetry_enabled());
         d.attach(&mut k, eth0, HookPoint::Xdp).unwrap();
 
         // Empty slot: the dispatcher PASSes; the slow path delivers.
         for _ in 0..5 {
-            let out = k.receive(eth0, frame_for(&k, eth0));
+            let out = k.receive(eth0, flow_frame(&k, eth0, 1));
             assert_eq!(out.deliveries().len(), 1);
         }
         assert_eq!(
@@ -793,7 +765,7 @@ mod tests {
         d.set_fpm_label("filter");
         d.install(drop_prog());
         for _ in 0..7 {
-            let out = k.receive(eth0, frame_for(&k, eth0));
+            let out = k.receive(eth0, flow_frame(&k, eth0, 1));
             assert_eq!(out.drops(), vec!["xdp drop"]);
         }
         assert_eq!(
@@ -805,7 +777,7 @@ mod tests {
         // last active pipeline.
         d.uninstall();
         for _ in 0..3 {
-            let out = k.receive(eth0, frame_for(&k, eth0));
+            let out = k.receive(eth0, flow_frame(&k, eth0, 1));
             assert_eq!(out.deliveries().len(), 1);
         }
         assert_eq!(
@@ -816,7 +788,7 @@ mod tests {
         // Reinstall: hits resume on the same series.
         d.install(drop_prog());
         for _ in 0..4 {
-            let out = k.receive(eth0, frame_for(&k, eth0));
+            let out = k.receive(eth0, flow_frame(&k, eth0, 1));
             assert_eq!(out.drops(), vec!["xdp drop"]);
         }
 
@@ -854,95 +826,122 @@ mod tests {
     }
 
     #[test]
-    fn dispatcher_amortizes_program_fetch_across_generations() {
-        use linuxfp_packet::Batch;
+    fn counting_starts_when_telemetry_is_enabled_mid_stream() {
+        // On a 4-shard kernel, a program dear enough that its flows are
+        // recorded (a run must cost more than a cache hit).
         let (mut k, eth0) = kernel_with_nic();
+        k.sysctl_set("net.linuxfp.rss_shards", 4).unwrap();
         let d = Dispatcher::new(MapStore::new());
         d.attach(&mut k, eth0, HookPoint::Xdp).unwrap();
-        d.install(drop_prog());
+        d.install(verdict_prog("costly_drop", Action::Drop, 120));
+        let send = |k: &mut Kernel, sports: std::ops::Range<u16>, rounds| {
+            for sport in (0..rounds).flat_map(|_| sports.clone()) {
+                let out = k.receive(eth0, flow_frame(k, eth0, sport));
+                assert_eq!(out.drops(), vec!["xdp drop"]);
+            }
+        };
 
-        // The first packet after an install walks the dispatcher (entry
-        // insns + tail call) and caches the slot resolution under the
-        // current coherence generation.
-        let cold = k.receive(eth0, frame_for(&k, eth0));
-        assert_eq!(cold.drops(), vec!["xdp drop"]);
-        assert_eq!(cold.cost.stage_count("tail_call"), 1);
+        // Before anyone counts, eight flows are recorded on their second
+        // sighting and served from the cache on their third.
+        send(&mut k, 1000..1008, 2);
+        let warm = k.receive(eth0, flow_frame(&k, eth0, 1000));
+        assert_eq!(warm.cost.stage_count("flowcache_hit"), 1);
 
-        // Until the generation moves, every later packet — across single
-        // receives *and* burst boundaries — skips the dispatcher walk.
-        let warm = k.receive(eth0, frame_for(&k, eth0));
-        let warm_ns = warm.cost.total_ns();
-        assert_eq!(warm.cost.stage_count("tail_call"), 0);
-        assert!(warm_ns < cold.cost.total_ns());
+        let registry = Registry::new();
+        k.set_telemetry(registry.clone());
+        d.enable_telemetry(&registry);
+        // 24 hits on the warm flows, then 8 misses: four new flows seen
+        // twice (the second sighting records).
+        send(&mut k, 1000..1008, 3);
+        send(&mut k, 2000..2004, 2);
 
-        let mut batch = Batch::new();
-        for _ in 0..8 {
-            batch.push(frame_for(&k, eth0));
-        }
-        let out = k.inject_batch(eth0, &mut batch);
-        assert_eq!(out.batch_size, 8);
-        for rx in &out.outcomes {
-            assert_eq!(rx.drops(), vec!["xdp drop"]);
-            assert_eq!(rx.cost.stage_count("tail_call"), 0);
-        }
-        // Warm burst total is strictly cheaper than 8 cold singles.
-        assert!(
-            out.total_ns() < 8.0 * cold.cost.total_ns(),
-            "burst {} vs 8x cold single {}",
-            out.total_ns(),
-            8.0 * cold.cost.total_ns()
-        );
-
-        // A warm batch of one costs exactly what a warm receive() costs.
-        let mut one = Batch::new();
-        one.push(frame_for(&k, eth0));
-        let out1 = k.inject_batch(eth0, &mut one);
-        assert_eq!(out1.total_ns(), warm_ns);
-
-        // A swap bumps the program generation: the next packet re-pays
-        // the dispatcher walk exactly once.
-        d.install(drop_prog());
-        let after_swap = k.receive(eth0, frame_for(&k, eth0));
-        assert_eq!(after_swap.cost.stage_count("tail_call"), 1);
-        let rewarm = k.receive(eth0, frame_for(&k, eth0));
-        assert_eq!(rewarm.cost.stage_count("tail_call"), 0);
+        let total = |name| registry.counter_total(name);
+        assert_eq!(total("linuxfp_packets_injected_total"), 32);
+        assert_eq!(total("linuxfp_fp_hits_total"), 32);
+        assert_eq!(total("linuxfp_flowcache_hits_total"), 24);
+        assert_eq!(total("linuxfp_flowcache_misses_total"), 8);
+        assert_eq!(total("linuxfp_flowcache_records_total"), 4);
+        // The shard series sum to the global ledger, over more than one
+        // shard.
+        assert_eq!(total("linuxfp_shard_fp_hits_total"), 32);
+        assert_eq!(total("linuxfp_shard_fallbacks_total"), 0);
+        assert_eq!(total("linuxfp_shard_flowcache_hits_total"), 24);
+        assert_eq!(total("linuxfp_shard_flowcache_misses_total"), 8);
+        let shards = registry.counter_series("linuxfp_shard_fp_hits_total");
+        assert!(shards.len() > 1, "one shard carried every flow: {shards:?}");
     }
 
     #[test]
-    fn dispatcher_batch_cache_respects_swaps_between_bursts() {
-        use linuxfp_packet::Batch;
+    fn dispatcher_amortizes_program_fetch_across_generations() {
+        // The slot resolution lives beside the verdict cache but does not
+        // depend on it: the same amortization holds with the cache off.
+        for flow_cache in [1, 0] {
+            let (mut k, eth0) = kernel_with_nic();
+            k.sysctl_set("net.linuxfp.flow_cache", flow_cache).unwrap();
+            let d = Dispatcher::new(MapStore::new());
+            d.attach(&mut k, eth0, HookPoint::Xdp).unwrap();
+            d.install(drop_prog());
+
+            // The first packet after an install walks the dispatcher (entry
+            // insns + tail call) and caches the slot resolution under the
+            // current coherence generation.
+            let cold = k.receive(eth0, flow_frame(&k, eth0, 1));
+            assert_eq!(cold.drops(), vec!["xdp drop"]);
+            assert_eq!(cold.cost.stage_count("tail_call"), 1);
+
+            // Until the generation moves, every later packet — across single
+            // receives *and* burst boundaries — skips the dispatcher walk.
+            let warm = k.receive(eth0, flow_frame(&k, eth0, 1));
+            let warm_ns = warm.cost.total_ns();
+            assert_eq!(warm.cost.stage_count("tail_call"), 0);
+            assert!(warm_ns < cold.cost.total_ns());
+
+            let out = k.inject_batch(eth0, &mut burst(&k, eth0, 8));
+            assert_eq!(out.batch_size, 8);
+            for rx in &out.outcomes {
+                assert_eq!(rx.drops(), vec!["xdp drop"]);
+                assert_eq!(rx.cost.stage_count("tail_call"), 0);
+            }
+            // Warm burst total is strictly cheaper than 8 cold singles.
+            assert!(
+                out.total_ns() < 8.0 * cold.cost.total_ns(),
+                "burst {} vs 8x cold single {}",
+                out.total_ns(),
+                8.0 * cold.cost.total_ns()
+            );
+
+            // A warm batch of one costs exactly what a warm receive() costs.
+            let out1 = k.inject_batch(eth0, &mut burst(&k, eth0, 1));
+            assert_eq!(out1.total_ns(), warm_ns);
+
+            // A swap bumps the program generation: the next packet re-pays
+            // the dispatcher walk exactly once.
+            d.install(drop_prog());
+            let after_swap = k.receive(eth0, flow_frame(&k, eth0, 1));
+            assert_eq!(after_swap.cost.stage_count("tail_call"), 1);
+            let rewarm = k.receive(eth0, flow_frame(&k, eth0, 1));
+            assert_eq!(rewarm.cost.stage_count("tail_call"), 0);
+        }
+    }
+
+    #[test]
+    fn dispatcher_slot_resolution_respects_swaps_between_bursts() {
         let (mut k, eth0) = kernel_with_nic();
         let d = Dispatcher::new(MapStore::new());
         d.attach(&mut k, eth0, HookPoint::Xdp).unwrap();
         d.install(drop_prog());
-        let mut batch = Batch::new();
-        for _ in 0..4 {
-            batch.push(frame_for(&k, eth0));
-        }
-        let out = k.inject_batch(eth0, &mut batch);
+        let out = k.inject_batch(eth0, &mut burst(&k, eth0, 4));
         assert!(out.outcomes.iter().all(|rx| rx.drops() == ["xdp drop"]));
 
-        // Swap to PASS between bursts: the stale cache must not leak.
-        let mut a = Asm::new();
-        a.mov_imm(0, Action::Pass.code() as i64);
-        a.exit();
-        let pass = LoadedProgram::load(Program::new("pass_all", a.finish().unwrap())).unwrap();
-        d.install(pass);
-        let mut batch = Batch::new();
-        for _ in 0..4 {
-            batch.push(frame_for(&k, eth0));
-        }
-        let out = k.inject_batch(eth0, &mut batch);
+        // Swap to PASS between bursts: the stale resolution must not leak.
+        d.install(verdict_prog("pass_all", Action::Pass, 0));
+        let out = k.inject_batch(eth0, &mut burst(&k, eth0, 4));
         assert!(out.outcomes.iter().all(|rx| rx.deliveries().len() == 1));
 
         // Uninstall: every frame of the next burst PASSes via the
         // dispatcher default.
         d.uninstall();
-        let mut batch = Batch::new();
-        for _ in 0..4 {
-            batch.push(frame_for(&k, eth0));
-        }
-        let out = k.inject_batch(eth0, &mut batch);
+        let out = k.inject_batch(eth0, &mut burst(&k, eth0, 4));
         assert!(out.outcomes.iter().all(|rx| rx.deliveries().len() == 1));
     }
 
@@ -966,7 +965,7 @@ mod tests {
         a.exit();
         let prog = LoadedProgram::load(Program::new("drop_ipv4", a.finish().unwrap())).unwrap();
         attach(&mut k, eth0, HookPoint::Tc, prog, MapStore::new()).unwrap();
-        let out = k.receive(eth0, frame_for(&k, eth0));
+        let out = k.receive(eth0, flow_frame(&k, eth0, 1));
         assert_eq!(out.drops(), vec!["tc drop"]);
         assert_eq!(out.cost.stage_count("skb_alloc"), 1);
     }

@@ -28,6 +28,12 @@ use linuxfp_packet::{EtherType, EthernetFrame, IpProto, Ipv4Header};
 /// paper's Figure 5.
 pub const MAX_RSS_SHARDS: u32 = 16;
 
+/// The `shard` telemetry label of each shard, so the packet path labels a
+/// series without formatting the index.
+pub const SHARD_LABELS: [&str; MAX_RSS_SHARDS as usize] = [
+    "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15",
+];
+
 /// The Microsoft RSS reference key. The symmetric property comes from
 /// canonical endpoint ordering (see module docs), not from the key, so
 /// the standard key's good bit-mixing can be kept.
@@ -195,5 +201,11 @@ mod tests {
         }
         assert!(counts.iter().all(|&c| c > 0), "dead shard: {counts:?}");
         assert!(counts.iter().all(|&c| c < 32), "hot shard: {counts:?}");
+    }
+
+    #[test]
+    fn shard_labels_are_the_shard_indices() {
+        let indices: Vec<String> = (0..MAX_RSS_SHARDS).map(|s| s.to_string()).collect();
+        assert_eq!(SHARD_LABELS.to_vec(), indices);
     }
 }

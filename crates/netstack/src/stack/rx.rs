@@ -81,7 +81,7 @@ impl Kernel {
                     t.registry
                         .counter(
                             "linuxfp_shard_packets_total",
-                            &[("shard", shard.to_string().as_str())],
+                            &[("shard", rss::SHARD_LABELS[shard])],
                         )
                         .inc();
                 }
@@ -202,11 +202,11 @@ impl Kernel {
             // owning shard — a separate series so single-core runs keep
             // their exact label set.
             if self.rss_shards > 1 {
-                let shard = self.current_shard.to_string();
+                let shard = rss::SHARD_LABELS[self.current_shard as usize];
                 t.registry
                     .counter(
                         "linuxfp_shard_drops_total",
-                        &[("reason", reason.as_str()), ("shard", shard.as_str())],
+                        &[("reason", reason.as_str()), ("shard", shard)],
                     )
                     .inc();
             }

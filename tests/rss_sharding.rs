@@ -181,6 +181,15 @@ fn per_shard_ledgers_sum_to_the_global_conservation_law() {
     let falls = registry.counter_total("linuxfp_slowpath_fallbacks_total");
     assert_eq!(shard_hits, hits, "per-shard hits must sum to global");
     assert_eq!(shard_falls, falls, "per-shard fallbacks must sum to global");
+    // The verdict cache keeps the same ledger one level down, per shard.
+    for outcome in ["hits", "misses"] {
+        assert_eq!(
+            registry.counter_total(&format!("linuxfp_shard_flowcache_{outcome}_total")),
+            registry.counter_total(&format!("linuxfp_flowcache_{outcome}_total")),
+            "per-shard flow-cache {outcome} must sum to global"
+        );
+    }
+    assert!(registry.counter_total("linuxfp_flowcache_hits_total") > 0);
     assert_eq!(
         hits + falls,
         injected,
