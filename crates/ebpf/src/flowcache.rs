@@ -54,11 +54,11 @@ use linuxfp_netstack::netfilter::{NfVerdict, PacketMeta};
 use linuxfp_netstack::stack::{FdbLookupOutcome, FibFastResult, HookVerdict, Kernel};
 use linuxfp_packet::checksum::checksum;
 use linuxfp_packet::rewrite::RewriteOp;
-use linuxfp_packet::MacAddr;
+use linuxfp_packet::{MacAddr, WordMap};
 use linuxfp_sim::{CostTracker, Nanos};
-use linuxfp_telemetry::{Counter, Registry};
+use linuxfp_telemetry::{LocalCounter, Registry};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -75,8 +75,24 @@ pub const DEFAULT_CAPACITY: usize = 4096;
 /// (which change per packet without affecting any forwarding decision),
 /// plus the L4 ports. Two packets with equal keys are indistinguishable
 /// to the fast path, so replaying the recorded verdict is exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FlowKey {
+///
+/// The fields are packed into five words (see [`Fields::pack`]), so the
+/// index hashes a key with five multiplies and compares it with five
+/// word compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlowKey([u64; 5]);
+
+impl Hash for FlowKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for word in self.0 {
+            state.write_u64(word);
+        }
+    }
+}
+
+/// The key's fields, unpacked, as [`FlowKey::extract`] reads them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Fields {
     ingress: u32,
     /// L3 offset (14 or 18); distinguishes untagged frames from frames
     /// tagged with TCI 0.
@@ -95,6 +111,40 @@ pub struct FlowKey {
     dst: u32,
     sport: u16,
     dport: u16,
+}
+
+/// Bit 4 of the last word: the frame carries an 802.1Q tag (L3 at 18).
+const TAGGED: u64 = 1 << 4;
+
+fn mac_word(mac: [u8; 6]) -> u64 {
+    let [a, b, c, d, e, f] = mac;
+    u64::from_be_bytes([0, 0, a, b, c, d, e, f])
+}
+
+impl Fields {
+    /// Packs the fields losslessly for every key [`FlowKey::extract`]
+    /// admits: the IPv4 version is always 4, the fragment offset and MF
+    /// bit are always zero, and L3 sits at 14 or 18, so the IHL, the two
+    /// remaining flag bits and a tag bit fit in the last word beside the
+    /// source MAC and the protocol.
+    fn pack(&self) -> FlowKey {
+        debug_assert!(self.vihl >> 4 == 4 && self.flags_frag & 0x3FFF == 0);
+        debug_assert!(self.l3 == 14 || self.l3 == 18);
+        let tagged = if self.l3 == 18 { TAGGED } else { 0 };
+        FlowKey([
+            u64::from(self.src) << 32 | u64::from(self.dst),
+            u64::from(self.ingress) << 32 | u64::from(self.sport) << 16 | u64::from(self.dport),
+            u64::from(self.frame_len) << 32
+                | u64::from(self.total_len) << 16
+                | u64::from(self.vlan_tci),
+            mac_word(self.eth_dst) << 16 | u64::from(self.tos) << 8 | u64::from(self.ttl),
+            mac_word(self.eth_src) << 16
+                | u64::from(self.proto) << 8
+                | u64::from(self.flags_frag >> 14) << 5
+                | tagged
+                | u64::from(self.vihl & 0x0F),
+        ])
+    }
 }
 
 fn be16(b: &[u8], off: usize) -> u16 {
@@ -150,7 +200,7 @@ impl FlowKey {
         if frame.len() < l4 + min_l4 {
             return None;
         }
-        Some(FlowKey {
+        let fields = Fields {
             ingress: ingress.as_u32(),
             l3: l3 as u8,
             vlan_tci,
@@ -167,12 +217,17 @@ impl FlowKey {
             dst: u32::from(be16(frame, l3 + 16)) << 16 | u32::from(be16(frame, l3 + 18)),
             sport: be16(frame, l4),
             dport: be16(frame, l4 + 2),
-        })
+        };
+        Some(fields.pack())
     }
 
     /// The L3 (IPv4 header) offset within the frame.
     pub fn l3_offset(&self) -> usize {
-        usize::from(self.l3)
+        if self.0[4] & TAGGED != 0 {
+            18
+        } else {
+            14
+        }
     }
 }
 
@@ -438,16 +493,16 @@ pub struct FlowEntry {
 
 #[derive(Debug, Clone, Default)]
 struct CacheCounters {
-    hits: Option<Counter>,
-    misses: Option<Counter>,
-    records: Option<Counter>,
-    inserts: Option<Counter>,
-    invalidations: Option<Counter>,
-    evictions: Option<Counter>,
+    hits: Option<LocalCounter>,
+    misses: Option<LocalCounter>,
+    records: Option<LocalCounter>,
+    inserts: Option<LocalCounter>,
+    invalidations: Option<LocalCounter>,
+    evictions: Option<LocalCounter>,
 }
 
 /// Adds `n` to a lifetime count and to its telemetry series, if wired.
-fn bump(count: &mut u64, counter: &Option<Counter>, n: u64) {
+fn bump(count: &mut u64, counter: &mut Option<LocalCounter>, n: u64) {
     *count += n;
     if let Some(c) = counter {
         c.add(n);
@@ -477,8 +532,9 @@ pub struct FlowCacheStats {
 /// Slab link meaning "no node": past either end of the recency list.
 const NIL: u32 = u32::MAX;
 
-/// One flow in the slab, threaded on the recency list. 64 bytes, so a
-/// relink touches one cache line per node.
+/// One flow in the slab, threaded on the recency list. 56 bytes — the
+/// packed key, the entry pointer and two links — so a node fits one
+/// cache line.
 #[derive(Debug)]
 struct Node {
     key: FlowKey,
@@ -538,7 +594,7 @@ pub struct Admission {
 /// slab has no holes.
 #[derive(Debug)]
 pub struct FlowCache {
-    index: HashMap<FlowKey, u32>,
+    index: WordMap<FlowKey, u32>,
     slab: Vec<Node>,
     /// Most recently used node, or [`NIL`] when empty.
     head: u32,
@@ -557,7 +613,7 @@ impl FlowCache {
     /// is allocated before the first insert.
     pub fn new(capacity: usize) -> Self {
         FlowCache {
-            index: HashMap::new(),
+            index: WordMap::default(),
             slab: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -572,6 +628,7 @@ impl FlowCache {
 
     /// Resolves the cache's telemetry counters in `registry`, replacing any
     /// earlier wiring; every cache wired to one registry shares the series.
+    /// The counts reach the series on [`FlowCache::publish_telemetry`].
     pub fn wire_telemetry(&mut self, registry: &Registry) {
         registry.describe(
             "linuxfp_flowcache_hits_total",
@@ -597,21 +654,43 @@ impl FlowCache {
             "linuxfp_flowcache_evictions_total",
             "Cache entries and placeholders evicted by the capacity bound (LRU)",
         );
+        let local = |name| Some(LocalCounter::new(registry.counter(name, &[])));
         self.counters = CacheCounters {
-            hits: Some(registry.counter("linuxfp_flowcache_hits_total", &[])),
-            misses: Some(registry.counter("linuxfp_flowcache_misses_total", &[])),
-            records: Some(registry.counter("linuxfp_flowcache_records_total", &[])),
-            inserts: Some(registry.counter("linuxfp_flowcache_inserts_total", &[])),
-            invalidations: Some(registry.counter("linuxfp_flowcache_invalidations_total", &[])),
-            evictions: Some(registry.counter("linuxfp_flowcache_evictions_total", &[])),
+            hits: local("linuxfp_flowcache_hits_total"),
+            misses: local("linuxfp_flowcache_misses_total"),
+            records: local("linuxfp_flowcache_records_total"),
+            inserts: local("linuxfp_flowcache_inserts_total"),
+            invalidations: local("linuxfp_flowcache_invalidations_total"),
+            evictions: local("linuxfp_flowcache_evictions_total"),
         };
+    }
+
+    /// Publishes the counts made since the last publish into the wired
+    /// telemetry series. The cache counts in plain integers, as one
+    /// shard's own; its owner publishes before the registry is read, and
+    /// dropping or rewiring the cache publishes too.
+    pub fn publish_telemetry(&mut self) {
+        let c = &mut self.counters;
+        for counter in [
+            &mut c.hits,
+            &mut c.misses,
+            &mut c.records,
+            &mut c.inserts,
+            &mut c.invalidations,
+            &mut c.evictions,
+        ]
+        .into_iter()
+        .flatten()
+        {
+            counter.publish();
+        }
     }
 
     fn validate(&mut self, generation: u64) {
         if self.generation != generation {
             bump(
                 &mut self.stats.invalidations,
-                &self.counters.invalidations,
+                &mut self.counters.invalidations,
                 self.entries as u64,
             );
             self.index.clear();
@@ -649,7 +728,7 @@ impl FlowCache {
             if evicted.entry.is_some() {
                 self.entries -= 1;
             }
-            bump(&mut self.stats.evictions, &self.counters.evictions, 1);
+            bump(&mut self.stats.evictions, &mut self.counters.evictions, 1);
         } else {
             self.slab.push(node);
         }
@@ -693,7 +772,7 @@ impl FlowCache {
     /// Counts a hit on node `i` and refreshes its LRU position.
     fn note_hit(&mut self, i: u32) {
         self.touch(i);
-        bump(&mut self.stats.hits, &self.counters.hits, 1);
+        bump(&mut self.stats.hits, &mut self.counters.hits, 1);
     }
 
     /// Looks up a recorded flow under the given combined generation,
@@ -740,7 +819,7 @@ impl FlowCache {
     /// placeholder in place. A placeholder the cache no longer holds for
     /// `key` under the admitting generation is left alone.
     pub fn record(&mut self, admission: Admission, key: &FlowKey, entry: Option<FlowEntry>) {
-        bump(&mut self.stats.records, &self.counters.records, 1);
+        bump(&mut self.stats.records, &mut self.counters.records, 1);
         let Some(entry) = entry else {
             return;
         };
@@ -751,7 +830,7 @@ impl FlowCache {
             Some(node) if node.key == *key && node.entry.is_none() => {
                 node.entry = Some(Arc::new(entry));
                 self.entries += 1;
-                bump(&mut self.stats.inserts, &self.counters.inserts, 1);
+                bump(&mut self.stats.inserts, &mut self.counters.inserts, 1);
             }
             _ => {}
         }
@@ -759,7 +838,7 @@ impl FlowCache {
 
     /// Counts one cache miss (entry absent, stale, or packet ineligible).
     pub fn note_miss(&mut self) {
-        bump(&mut self.stats.misses, &self.counters.misses, 1);
+        bump(&mut self.stats.misses, &mut self.counters.misses, 1);
     }
 
     /// Stores a recorded flow under the given combined generation without
@@ -782,7 +861,7 @@ impl FlowCache {
         {
             self.entries += 1;
         }
-        bump(&mut self.stats.inserts, &self.counters.inserts, 1);
+        bump(&mut self.stats.inserts, &mut self.counters.inserts, 1);
     }
 
     /// Recorded entry count; placeholders are not entries.
@@ -812,7 +891,9 @@ impl FlowCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use linuxfp_packet::builder;
+    use linuxfp_packet::{builder, SeededState};
+    use std::collections::HashMap;
+    use std::hash::BuildHasher;
 
     fn frame(sport: u16) -> Vec<u8> {
         builder::udp_packet(
@@ -889,8 +970,169 @@ mod tests {
     }
 
     #[test]
-    fn node_is_one_cache_line() {
-        assert_eq!(std::mem::size_of::<Node>(), 64);
+    fn node_fits_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Node>(), 56);
+    }
+
+    /// A valid key's fields: a tagged TCP frame, every field nonzero.
+    fn base_fields() -> Fields {
+        Fields {
+            ingress: 7,
+            l3: 18,
+            vlan_tci: 0x0123,
+            frame_len: 90,
+            eth_dst: [2, 1, 2, 3, 4, 5],
+            eth_src: [2, 6, 7, 8, 9, 10],
+            vihl: 0x46,
+            tos: 0x10,
+            total_len: 72,
+            flags_frag: 0x4000,
+            ttl: 64,
+            proto: 6,
+            src: 0x0a00_0001,
+            dst: 0x0a00_0102,
+            sport: 1234,
+            dport: 80,
+        }
+    }
+
+    #[test]
+    fn every_field_is_in_the_packed_key() {
+        let hasher = SeededState::with_seed(0x5eed);
+        let base = base_fields();
+        // One variant per field, each differing from the base in that
+        // field alone, within the values `extract` admits for it.
+        let variants: [(&str, Fields); 16] = [
+            ("ingress", Fields { ingress: 8, ..base }),
+            ("l3", Fields { l3: 14, ..base }),
+            (
+                "vlan_tci",
+                Fields {
+                    vlan_tci: 0x0124,
+                    ..base
+                },
+            ),
+            (
+                "frame_len",
+                Fields {
+                    frame_len: 91,
+                    ..base
+                },
+            ),
+            (
+                "eth_dst",
+                Fields {
+                    eth_dst: [3, 1, 2, 3, 4, 5],
+                    ..base
+                },
+            ),
+            (
+                "eth_src",
+                Fields {
+                    eth_src: [2, 6, 7, 8, 9, 11],
+                    ..base
+                },
+            ),
+            ("vihl", Fields { vihl: 0x45, ..base }),
+            ("tos", Fields { tos: 0x11, ..base }),
+            (
+                "total_len",
+                Fields {
+                    total_len: 73,
+                    ..base
+                },
+            ),
+            (
+                "flags_frag",
+                Fields {
+                    flags_frag: 0x8000,
+                    ..base
+                },
+            ),
+            ("ttl", Fields { ttl: 63, ..base }),
+            ("proto", Fields { proto: 17, ..base }),
+            (
+                "src",
+                Fields {
+                    src: 0x8a00_0001,
+                    ..base
+                },
+            ),
+            (
+                "dst",
+                Fields {
+                    dst: 0x0a00_0103,
+                    ..base
+                },
+            ),
+            (
+                "sport",
+                Fields {
+                    sport: 1235,
+                    ..base
+                },
+            ),
+            (
+                "dport",
+                Fields {
+                    dport: 0x8050,
+                    ..base
+                },
+            ),
+        ];
+        let key = base.pack();
+        for (field, variant) in variants {
+            assert_ne!(variant, base, "{field}: the variant must differ");
+            let other = variant.pack();
+            assert_ne!(other, key, "{field} is not in the key");
+            assert_ne!(
+                hasher.hash_one(other),
+                hasher.hash_one(key),
+                "{field} does not reach the hash"
+            );
+        }
+        assert_eq!(key.l3_offset(), 18);
+        assert_eq!(Fields { l3: 14, ..base }.pack().l3_offset(), 14);
+    }
+
+    #[test]
+    fn thrash_shaped_keys_do_not_collide_and_spread_over_buckets() {
+        // 5,000 flows as a thrashing router sees them: one client, one
+        // destination port, consecutive source ports over many hosts.
+        let keys: Vec<FlowKey> = (0..5000u32)
+            .map(|i| {
+                let frame = builder::udp_packet_sized(
+                    MacAddr::from_index(1),
+                    MacAddr::from_index(2),
+                    Ipv4Addr::new(10, 0, 0, 1),
+                    Ipv4Addr::new(10, 1, (i % 250) as u8, 1),
+                    1024 + i as u16,
+                    4791,
+                    60,
+                );
+                FlowKey::extract(&frame, IfIndex(1)).unwrap()
+            })
+            .collect();
+        for seed in [0, 1, 0x5eed, u64::MAX] {
+            let hasher = SeededState::with_seed(seed);
+            let mut hashes: Vec<u64> = keys.iter().map(|k| hasher.hash_one(k)).collect();
+            // The low 12 bits pick one of 4,096 buckets: Pearson's χ² over
+            // them has 4,095 degrees of freedom (mean 4,095, sd ≈ 90.5);
+            // six sd above the mean is the bound.
+            let mut buckets = vec![0u32; 4096];
+            for h in &hashes {
+                buckets[(h & 0xFFF) as usize] += 1;
+            }
+            let expected = keys.len() as f64 / 4096.0;
+            let chi2: f64 = buckets
+                .iter()
+                .map(|&n| (f64::from(n) - expected).powi(2) / expected)
+                .sum();
+            assert!(chi2 < 4095.0 + 6.0 * 90.5, "seed {seed}: χ² {chi2:.0}");
+            hashes.sort_unstable();
+            hashes.dedup();
+            assert_eq!(hashes.len(), keys.len(), "seed {seed}: 64-bit collision");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use linuxfp_netstack::NetError;
 use linuxfp_packet::{rewrite, EthernetFrame, Packet};
 use linuxfp_sim::{CostModel, CostTracker};
 use linuxfp_telemetry::trace::{FlowCacheOutcome, PuntReason, TraceCtx, TraceEvent};
-use linuxfp_telemetry::{Counter, Registry};
+use linuxfp_telemetry::{Collector, LocalCounter, Registry};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Which kernel hook to attach to.
@@ -53,26 +53,28 @@ impl HookPoint {
 /// program returned, how much work it did, and whether packets were
 /// handled in the fast path or fell back to the kernel slow path.
 ///
-/// Counter handles are resolved once (at install/relabel time), so the
-/// per-packet cost is a few relaxed atomic increments — no label or map
-/// lookups on the data path. The conservation law the metrics support:
+/// Each shard holds its own copy, resolved once (at install/relabel
+/// time) and counted in plain integers under the shard lock — no label or
+/// map lookups and no atomics on the data path. The dispatcher's
+/// collector publishes the counts before every registry read. The
+/// conservation law the metrics support:
 /// `linuxfp_fp_hits_total + linuxfp_slowpath_fallbacks_total` equals the
 /// number of packets that entered the hook.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct HookStats {
     /// Packets fully handled by the fast path (any verdict except PASS).
-    hits: Counter,
+    hits: LocalCounter,
     /// Packets PASSed to the kernel slow path (including the dispatcher's
     /// empty-slot default).
-    fallbacks: Counter,
-    vm_insns: Counter,
-    helper_calls: Counter,
+    fallbacks: LocalCounter,
+    vm_insns: LocalCounter,
+    helper_calls: LocalCounter,
     /// Division/modulo-by-zero events observed at runtime (Linux-defined
     /// results, not faults — but synthesized code should never produce
     /// them).
-    div_zeros: Counter,
+    div_zeros: LocalCounter,
     /// `linuxfp_vm_verdicts_total`, indexed by [`verdict_kind`].
-    verdicts: [Counter; 4],
+    verdicts: [LocalCounter; 4],
 }
 
 /// Hook verdict names, indexed by [`verdict_kind`]: the
@@ -107,20 +109,33 @@ impl HookStats {
             "linuxfp_vm_div_zero_total",
             "Runtime BPF_DIV/BPF_MOD by zero events (Linux-defined results)",
         );
+        let local =
+            |name, labels: &[(&str, &str)]| LocalCounter::new(registry.counter(name, labels));
         HookStats {
-            hits: registry.counter("linuxfp_fp_hits_total", &[("fpm", fpm)]),
-            fallbacks: registry.counter("linuxfp_slowpath_fallbacks_total", &[("fpm", fpm)]),
-            vm_insns: registry.counter("linuxfp_vm_insns_total", &[("program", program)]),
-            helper_calls: registry
-                .counter("linuxfp_vm_helper_calls_total", &[("program", program)]),
-            div_zeros: registry.counter("linuxfp_vm_div_zero_total", &[("program", program)]),
-            verdicts: VERDICTS.map(|verdict| {
-                registry.counter("linuxfp_vm_verdicts_total", &[("verdict", verdict)])
-            }),
+            hits: local("linuxfp_fp_hits_total", &[("fpm", fpm)]),
+            fallbacks: local("linuxfp_slowpath_fallbacks_total", &[("fpm", fpm)]),
+            vm_insns: local("linuxfp_vm_insns_total", &[("program", program)]),
+            helper_calls: local("linuxfp_vm_helper_calls_total", &[("program", program)]),
+            div_zeros: local("linuxfp_vm_div_zero_total", &[("program", program)]),
+            verdicts: VERDICTS
+                .map(|verdict| local("linuxfp_vm_verdicts_total", &[("verdict", verdict)])),
         }
     }
 
-    fn record(&self, out: &VmOutcome, verdict: &HookVerdict) {
+    fn publish(&mut self) {
+        for c in [
+            &mut self.hits,
+            &mut self.fallbacks,
+            &mut self.vm_insns,
+            &mut self.helper_calls,
+            &mut self.div_zeros,
+        ] {
+            c.publish();
+        }
+        self.verdicts.iter_mut().for_each(LocalCounter::publish);
+    }
+
+    fn record(&mut self, out: &VmOutcome, verdict: &HookVerdict) {
         self.vm_insns.add(out.insns_executed);
         self.helper_calls.add(out.helper_calls);
         self.div_zeros.add(out.div_zeros);
@@ -129,7 +144,7 @@ impl HookStats {
 
     /// Advances the hit/fallback ledger and the verdict tallies — all a
     /// packet served by the verdict cache counts, since no program ran.
-    fn record_verdict(&self, verdict: &HookVerdict) {
+    fn record_verdict(&mut self, verdict: &HookVerdict) {
         self.verdicts[verdict_kind(verdict)].inc();
         if matches!(verdict, HookVerdict::Pass) {
             self.fallbacks.inc();
@@ -139,27 +154,43 @@ impl HookStats {
     }
 }
 
-/// Telemetry state shared between a dispatcher and its hook closure; the
-/// labels are re-resolved on every install so metrics follow the active
-/// data path.
-#[derive(Debug)]
-struct HookTelemetry {
+/// The registry a dispatcher counts into and the labels its hook ledger
+/// carries. Control-plane state: `enable_telemetry`, `set_fpm_label`,
+/// `install` and `uninstall` take its lock, a packet never does. A label
+/// change re-resolves the ledger into every shard, so metrics follow the
+/// active data path.
+struct HookLabels {
     registry: Registry,
     program: String,
     fpm: String,
-    stats: HookStats,
+    /// Publishes every shard's counts before a registry read; the
+    /// registry holds it weakly, so it lives as long as the labels.
+    _collector: Collector,
 }
 
-type TelemetryCell = Arc<Mutex<Option<HookTelemetry>>>;
+impl std::fmt::Debug for HookLabels {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HookLabels")
+            .field("program", &self.program)
+            .field("fpm", &self.fpm)
+            .finish()
+    }
+}
+
+impl HookLabels {
+    fn stats(&self) -> HookStats {
+        HookStats::in_registry(&self.registry, &self.program, &self.fpm)
+    }
+}
 
 /// One shard's slice of the hook ledger. Summed over shards, each
 /// `linuxfp_shard_*{shard}` series equals its global counterpart.
 #[derive(Debug)]
 struct ShardSeries {
-    fp_hits: Counter,
-    fallbacks: Counter,
-    flowcache_hits: Counter,
-    flowcache_misses: Counter,
+    fp_hits: LocalCounter,
+    fallbacks: LocalCounter,
+    flowcache_hits: LocalCounter,
+    flowcache_misses: LocalCounter,
 }
 
 impl ShardSeries {
@@ -180,16 +211,27 @@ impl ShardSeries {
             "linuxfp_shard_flowcache_misses_total",
             "Microflow verdict cache misses by owning RSS shard (rss_shards > 1 only)",
         );
-        let labels = [("shard", shard)];
+        let local = |name| LocalCounter::new(registry.counter(name, &[("shard", shard)]));
         ShardSeries {
-            fp_hits: registry.counter("linuxfp_shard_fp_hits_total", &labels),
-            fallbacks: registry.counter("linuxfp_shard_fallbacks_total", &labels),
-            flowcache_hits: registry.counter("linuxfp_shard_flowcache_hits_total", &labels),
-            flowcache_misses: registry.counter("linuxfp_shard_flowcache_misses_total", &labels),
+            fp_hits: local("linuxfp_shard_fp_hits_total"),
+            fallbacks: local("linuxfp_shard_fallbacks_total"),
+            flowcache_hits: local("linuxfp_shard_flowcache_hits_total"),
+            flowcache_misses: local("linuxfp_shard_flowcache_misses_total"),
         }
     }
 
-    fn record_verdict(&self, verdict: &HookVerdict) {
+    fn publish(&mut self) {
+        for c in [
+            &mut self.fp_hits,
+            &mut self.fallbacks,
+            &mut self.flowcache_hits,
+            &mut self.flowcache_misses,
+        ] {
+            c.publish();
+        }
+    }
+
+    fn record_verdict(&mut self, verdict: &HookVerdict) {
         if matches!(verdict, HookVerdict::Pass) {
             self.fallbacks.inc();
         } else {
@@ -216,10 +258,19 @@ struct Shard {
     slot: Option<(u64, LoadedProgram)>,
     /// The `shard` label value.
     label: &'static str,
-    /// Once telemetry is enabled: the registry, and the shard series
-    /// resolved from it on the first sharded packet — so an unsharded run
-    /// never grows a shard dimension.
-    telemetry: Option<(Registry, Option<ShardSeries>)>,
+    /// The shard's counter handles, once telemetry is enabled.
+    telemetry: Option<ShardTelemetry>,
+}
+
+/// The counter handles one shard's packets count into.
+#[derive(Debug)]
+struct ShardTelemetry {
+    registry: Registry,
+    /// The hook ledger under the dispatcher's current labels.
+    stats: HookStats,
+    /// The shard series, resolved on the first sharded packet — so an
+    /// unsharded run never grows a shard dimension.
+    series: Option<ShardSeries>,
 }
 
 impl Shard {
@@ -232,17 +283,38 @@ impl Shard {
         }
     }
 
-    /// Starts counting into `registry`: the flow cache's series from the
-    /// next packet, the shard series from the next sharded one.
-    fn wire_telemetry(&mut self, registry: &Registry) {
+    /// Starts counting into `registry`: the ledger and the flow cache's
+    /// series from the next packet, the shard series from the next
+    /// sharded one.
+    fn wire_telemetry(&mut self, registry: &Registry, stats: HookStats) {
         self.flows.wire_telemetry(registry);
-        self.telemetry = Some((registry.clone(), None));
+        self.telemetry = Some(ShardTelemetry {
+            registry: registry.clone(),
+            stats,
+            series: None,
+        });
     }
 
-    /// The shard series, when the datapath is sharded and telemetry is on.
-    fn series(&mut self, sharded: bool) -> Option<&ShardSeries> {
-        let (registry, series) = self.telemetry.as_mut().filter(|_| sharded)?;
-        Some(series.get_or_insert_with(|| ShardSeries::in_registry(registry, self.label)))
+    /// The ledger and, on a sharded datapath, the shard series — when
+    /// telemetry is on.
+    fn counters(&mut self, sharded: bool) -> Option<(&mut HookStats, Option<&mut ShardSeries>)> {
+        let t = self.telemetry.as_mut()?;
+        let series = sharded.then(|| {
+            t.series
+                .get_or_insert_with(|| ShardSeries::in_registry(&t.registry, self.label))
+        });
+        Some((&mut t.stats, series))
+    }
+
+    /// Publishes the shard's counts into the registry's counters.
+    fn publish(&mut self) {
+        self.flows.publish_telemetry();
+        if let Some(t) = &mut self.telemetry {
+            t.stats.publish();
+            if let Some(series) = &mut t.series {
+                series.publish();
+            }
+        }
     }
 }
 
@@ -288,8 +360,10 @@ fn hook_fn(
         let mut admitted = None;
         let mut invalidated = false;
         let mut resolved = None;
+        let mut counting = false;
         if let Some(d) = &dispatcher {
             let mut shard = d.lock_shard(rx_queue);
+            counting = shard.telemetry.is_some();
             if cache_on {
                 // Compared *before* the probe (which flushes lazily on a
                 // generation change) to tell an invalidation miss from a
@@ -299,19 +373,22 @@ fn hook_fn(
                 if let Some(k) = &key {
                     match shard.flows.probe(gen, k) {
                         Probe::Hit(entry) => {
-                            if let Some(series) = shard.series(sharded) {
-                                series.record_verdict(&entry.verdict);
-                                series.flowcache_hits.inc();
+                            if let Some((stats, series)) = shard.counters(sharded) {
+                                stats.record_verdict(&entry.verdict);
+                                if let Some(series) = series {
+                                    series.record_verdict(&entry.verdict);
+                                    series.flowcache_hits.inc();
+                                }
                             }
                             drop(shard);
-                            return d.serve_hit(&entry, kernel, packet, tracker, trace, &cost);
+                            return serve_hit(&entry, kernel, packet, tracker, trace, &cost);
                         }
                         Probe::Admitted(admission) => admitted = Some(admission),
                         Probe::FirstSighting => {}
                     }
                 }
                 shard.flows.note_miss();
-                if let Some(series) = shard.series(sharded) {
+                if let Some((_, Some(series))) = shard.counters(sharded) {
                     series.flowcache_misses.inc();
                 }
             }
@@ -445,8 +522,8 @@ fn hook_fn(
             });
 
         // ---- second shard lock: keep the walk's resolution, file the
-        // recording, count the verdict on the shard -------------------
-        if walked || recorded.is_some() || sharded {
+        // recording, count the run --------------------------------------
+        if walked || recorded.is_some() || counting {
             let mut shard = d.lock_shard(rx_queue);
             if walked {
                 shard.slot = slot.map(|prog| (gen, prog));
@@ -454,14 +531,14 @@ fn hook_fn(
             if let Some((admission, k, entry)) = recorded {
                 shard.flows.record(admission, &k, entry);
             }
-            if let Some(series) = shard.series(sharded) {
-                series.record_verdict(&verdict);
+            // Telemetry charges no virtual time: observability must not
+            // perturb the modeled costs.
+            if let Some((stats, series)) = shard.counters(sharded) {
+                stats.record(&out, &verdict);
+                if let Some(series) = series {
+                    series.record_verdict(&verdict);
+                }
             }
-        }
-        // Telemetry counters are real atomics with no virtual-time
-        // charge: observability must not perturb the modeled costs.
-        if let Some(t) = d.lock_telemetry().as_ref() {
-            t.stats.record(&out, &verdict);
         }
         verdict
     })
@@ -482,6 +559,34 @@ pub fn attach(
     hook.attach(kernel, dev, hook_fn(prog, maps, hook, None))
 }
 
+/// Serves a packet from its flow's recorded entry: applies the rewrite,
+/// replays the helper touches and charges the flat hit price. The caller
+/// counted the verdict under its shard lock.
+fn serve_hit(
+    entry: &FlowEntry,
+    kernel: &mut Kernel,
+    packet: &mut Packet,
+    tracker: &mut CostTracker,
+    trace: &mut TraceCtx,
+    cost: &CostModel,
+) -> HookVerdict {
+    rewrite::apply_ops(&mut packet.data, &entry.ops);
+    flowcache::replay_touches(&entry.touches, kernel);
+    // The replay wrote shared state on this shard's behalf: its own
+    // writes must not read as remote.
+    kernel.coherence_refresh_fastpath();
+    tracker.charge("flowcache_hit", cost.flowcache_hit_ns);
+    trace.event(|| TraceEvent::FlowCache {
+        outcome: FlowCacheOutcome::Hit,
+    });
+    if matches!(entry.verdict, HookVerdict::Pass) {
+        trace.event(|| TraceEvent::Punt {
+            reason: PuntReason::CachedPass,
+        });
+    }
+    entry.verdict
+}
+
 /// The per-interface dispatcher: a constant entry program that tail-calls
 /// the active data path through a program-array slot.
 #[derive(Debug, Clone)]
@@ -489,7 +594,8 @@ pub struct Dispatcher {
     maps: MapStore,
     prog_array: MapId,
     slot: usize,
-    telemetry: TelemetryCell,
+    /// The ledger's registry and labels, once telemetry is enabled.
+    labels: Arc<Mutex<Option<HookLabels>>>,
     /// The hook's per-shard state, indexed by `Packet::rx_queue`; an
     /// unsharded kernel steers every packet to queue 0.
     shards: Arc<[Mutex<Shard>]>,
@@ -503,7 +609,7 @@ impl Dispatcher {
             maps,
             prog_array,
             slot: 0,
-            telemetry: Arc::new(Mutex::new(None)),
+            labels: Arc::new(Mutex::new(None)),
             shards: rss::SHARD_LABELS
                 .iter()
                 .map(|&label| Mutex::new(Shard::new(label)))
@@ -511,10 +617,10 @@ impl Dispatcher {
         }
     }
 
-    fn lock_telemetry(&self) -> MutexGuard<'_, Option<HookTelemetry>> {
-        self.telemetry
+    fn lock_labels(&self) -> MutexGuard<'_, Option<HookLabels>> {
+        self.labels
             .lock()
-            .expect("a packet panicked holding the telemetry")
+            .expect("a control-plane call panicked holding the labels")
     }
 
     fn lock_shard(&self, rx_queue: u32) -> MutexGuard<'_, Shard> {
@@ -523,36 +629,22 @@ impl Dispatcher {
             .expect("a packet panicked holding its shard")
     }
 
-    /// Serves a packet from its flow's recorded entry: applies the
-    /// rewrite, replays the helper touches, charges the flat hit price and
-    /// counts the verdict in the hook ledger.
-    fn serve_hit(
-        &self,
-        entry: &FlowEntry,
-        kernel: &mut Kernel,
-        packet: &mut Packet,
-        tracker: &mut CostTracker,
-        trace: &mut TraceCtx,
-        cost: &CostModel,
-    ) -> HookVerdict {
-        rewrite::apply_ops(&mut packet.data, &entry.ops);
-        flowcache::replay_touches(&entry.touches, kernel);
-        // The replay wrote shared state on this shard's behalf: its own
-        // writes must not read as remote.
-        kernel.coherence_refresh_fastpath();
-        tracker.charge("flowcache_hit", cost.flowcache_hit_ns);
-        trace.event(|| TraceEvent::FlowCache {
-            outcome: FlowCacheOutcome::Hit,
+    /// Runs `f` on every shard, each under its lock.
+    fn each_shard(&self, mut f: impl FnMut(&mut Shard)) {
+        for rx_queue in 0..rss::MAX_RSS_SHARDS {
+            f(&mut self.lock_shard(rx_queue));
+        }
+    }
+
+    /// Re-resolves the hook ledger under `labels` into every shard; the
+    /// counts made under the old labels are published as they drop.
+    fn relabel(&self, labels: &HookLabels) {
+        let stats = labels.stats();
+        self.each_shard(|shard| {
+            if let Some(t) = &mut shard.telemetry {
+                t.stats = stats.clone();
+            }
         });
-        if matches!(entry.verdict, HookVerdict::Pass) {
-            trace.event(|| TraceEvent::Punt {
-                reason: PuntReason::CachedPass,
-            });
-        }
-        if let Some(t) = self.lock_telemetry().as_ref() {
-            t.stats.record_verdict(&entry.verdict);
-        }
-        entry.verdict
     }
 
     /// Enables telemetry for this dispatcher's hook: per-packet verdict,
@@ -562,15 +654,25 @@ impl Dispatcher {
     /// attached yet or has carried traffic. Until a data path is installed
     /// the series carry `fpm="none"`.
     pub fn enable_telemetry(&self, registry: &Registry) {
-        *self.lock_telemetry() = Some(HookTelemetry {
+        let shards = Arc::downgrade(&self.shards);
+        let collector: Collector = Arc::new(move || {
+            for shard in shards.upgrade().iter().flat_map(|s| s.iter()) {
+                shard
+                    .lock()
+                    .expect("a packet panicked holding its shard")
+                    .publish();
+            }
+        });
+        registry.add_collector(&collector);
+        let mut labels = self.lock_labels();
+        let fresh = labels.insert(HookLabels {
             registry: registry.clone(),
             program: "linuxfp_dispatcher".to_string(),
             fpm: "none".to_string(),
-            stats: HookStats::in_registry(registry, "linuxfp_dispatcher", "none"),
+            _collector: collector,
         });
-        for rx_queue in 0..rss::MAX_RSS_SHARDS {
-            self.lock_shard(rx_queue).wire_telemetry(registry);
-        }
+        let stats = fresh.stats();
+        self.each_shard(|shard| shard.wire_telemetry(registry, stats.clone()));
     }
 
     /// Re-labels this dispatcher's hit/fallback counters with the FPM
@@ -578,10 +680,10 @@ impl Dispatcher {
     /// Labels are sticky across uninstall so late packets still count
     /// against the last active data path. No-op without telemetry.
     pub fn set_fpm_label(&self, fpm: &str) {
-        if let Some(t) = self.lock_telemetry().as_mut() {
-            if t.fpm != fpm {
-                t.fpm = fpm.to_string();
-                t.stats = HookStats::in_registry(&t.registry, &t.program, &t.fpm);
+        if let Some(labels) = self.lock_labels().as_mut() {
+            if labels.fpm != fpm {
+                labels.fpm = fpm.to_string();
+                self.relabel(labels);
             }
         }
     }
@@ -616,14 +718,14 @@ impl Dispatcher {
 
     /// Atomically installs (or replaces) the active data path.
     pub fn install(&self, prog: LoadedProgram) {
-        if let Some(t) = self.lock_telemetry().as_mut() {
-            t.registry.events().push(
+        if let Some(labels) = self.lock_labels().as_mut() {
+            labels.registry.events().push(
                 "swap",
                 format!("install {} ({} insns)", prog.name(), prog.len()),
             );
-            if t.program != prog.name() {
-                t.program = prog.name().to_string();
-                t.stats = HookStats::in_registry(&t.registry, &t.program, &t.fpm);
+            if labels.program != prog.name() {
+                labels.program = prog.name().to_string();
+                self.relabel(labels);
             }
         }
         self.maps
@@ -633,8 +735,9 @@ impl Dispatcher {
 
     /// Removes the active data path; packets fall back to the slow path.
     pub fn uninstall(&self) {
-        if let Some(t) = self.lock_telemetry().as_ref() {
-            t.registry
+        if let Some(labels) = self.lock_labels().as_ref() {
+            labels
+                .registry
                 .events()
                 .push("swap", "uninstall (slot empty, PASS)");
         }
@@ -869,6 +972,77 @@ mod tests {
         assert_eq!(total("linuxfp_shard_flowcache_misses_total"), 8);
         let shards = registry.counter_series("linuxfp_shard_fp_hits_total");
         assert!(shards.len() > 1, "one shard carried every flow: {shards:?}");
+    }
+
+    #[test]
+    fn relabelling_mid_stream_moves_every_shard_to_the_new_labels() {
+        let (mut k, eth0) = kernel_with_nic();
+        k.sysctl_set("net.linuxfp.rss_shards", 4).unwrap();
+        let registry = Registry::new();
+        k.set_telemetry(registry.clone());
+        let d = Dispatcher::new(MapStore::new());
+        d.enable_telemetry(&registry);
+        d.attach(&mut k, eth0, HookPoint::Xdp).unwrap();
+        d.set_fpm_label("filter");
+        d.install(verdict_prog("costly_drop", Action::Drop, 120));
+        // Sixteen flows over the four shards; three rounds place, record
+        // and then hit each flow.
+        let send = |k: &mut Kernel, rounds| {
+            for sport in (0..rounds).flat_map(|_| 1000..1016u16) {
+                k.receive(eth0, flow_frame(k, eth0, sport));
+            }
+        };
+        send(&mut k, 3);
+        let value = |name, labels: &[(&str, &str)]| registry.counter_value(name, labels);
+        assert_eq!(
+            value("linuxfp_fp_hits_total", &[("fpm", "filter")]),
+            Some(48)
+        );
+
+        // A new FPM label leaves the cache warm: every shard serves its
+        // hits into the new series.
+        d.set_fpm_label("router+filter");
+        send(&mut k, 1);
+        assert_eq!(
+            value("linuxfp_fp_hits_total", &[("fpm", "filter")]),
+            Some(48)
+        );
+        assert_eq!(
+            value("linuxfp_fp_hits_total", &[("fpm", "router+filter")]),
+            Some(16)
+        );
+        let dropped_insns = value("linuxfp_vm_insns_total", &[("program", "costly_drop")]);
+        assert!(dropped_insns > Some(0));
+
+        // A new program: every shard's runs count under its name.
+        d.install(verdict_prog("costly_pass", Action::Pass, 120));
+        send(&mut k, 3);
+        assert_eq!(
+            value(
+                "linuxfp_slowpath_fallbacks_total",
+                &[("fpm", "router+filter")]
+            ),
+            Some(48)
+        );
+        assert_eq!(
+            value("linuxfp_vm_insns_total", &[("program", "costly_drop")]),
+            dropped_insns
+        );
+        assert!(value("linuxfp_vm_insns_total", &[("program", "costly_pass")]) > Some(0));
+
+        // The ledger holds across both relabels, and more than one shard
+        // carried the traffic.
+        let total = |name| registry.counter_total(name);
+        assert_eq!(total("linuxfp_packets_injected_total"), 112);
+        assert_eq!(
+            total("linuxfp_fp_hits_total") + total("linuxfp_slowpath_fallbacks_total"),
+            112
+        );
+        assert_eq!(
+            total("linuxfp_shard_fp_hits_total") + total("linuxfp_shard_fallbacks_total"),
+            112
+        );
+        assert!(registry.counter_series("linuxfp_shard_fp_hits_total").len() > 1);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! shared kernel objects.
 
 use crate::program::LoadedProgram;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use linuxfp_packet::WordMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -53,7 +54,7 @@ impl std::error::Error for MapError {}
 
 enum MapKind {
     Hash {
-        entries: HashMap<Vec<u8>, Vec<u8>>,
+        entries: WordMap<Vec<u8>, Vec<u8>>,
         max_entries: usize,
     },
     Array {
@@ -62,7 +63,7 @@ enum MapKind {
     /// Longest-prefix-match over `(prefix_len, be32 addr)` keys, like
     /// `BPF_MAP_TYPE_LPM_TRIE` with 4-byte data.
     Lpm {
-        by_len: BTreeMap<u8, HashMap<u32, Vec<u8>>>,
+        by_len: BTreeMap<u8, WordMap<u32, Vec<u8>>>,
     },
     ProgArray {
         slots: Vec<Option<LoadedProgram>>,
@@ -144,7 +145,7 @@ impl MapStore {
     /// Creates a hash map with the given capacity.
     pub fn create_hash(&self, max_entries: usize) -> MapId {
         self.push(MapKind::Hash {
-            entries: HashMap::new(),
+            entries: WordMap::default(),
             max_entries,
         })
     }

@@ -8,11 +8,11 @@
 //! fast path reads it via the paper's new `bpf_fdb_lookup` helper.
 
 use crate::device::IfIndex;
-use linuxfp_packet::MacAddr;
+use linuxfp_packet::{MacAddr, WordMap};
 use linuxfp_sim::Nanos;
 use linuxfp_telemetry::trace::DropReason;
 use linuxfp_telemetry::Counter;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// STP port states (802.1D). Only `Forwarding` ports forward data frames;
 /// `Learning` ports learn addresses but do not forward.
@@ -118,7 +118,7 @@ pub struct Bridge {
     /// FDB aging time (Linux default 300 s).
     pub ageing_time: Nanos,
     ports: BTreeMap<IfIndex, BridgePort>,
-    fdb: HashMap<(MacAddr, u16), FdbEntry>,
+    fdb: WordMap<(MacAddr, u16), FdbEntry>,
     decisions: Option<Counter>,
     generation: u64,
 }
@@ -133,7 +133,7 @@ impl Bridge {
             vlan_filtering: false,
             ageing_time: Nanos::from_secs(300),
             ports: BTreeMap::new(),
-            fdb: HashMap::new(),
+            fdb: WordMap::default(),
             decisions: None,
             generation: 0,
         }

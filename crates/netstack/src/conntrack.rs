@@ -7,9 +7,9 @@
 //! affinity.
 
 use linuxfp_packet::ipv4::IpProto;
+use linuxfp_packet::WordMap;
 use linuxfp_sim::Nanos;
 use linuxfp_telemetry::Counter;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// A normalized flow key: the 5-tuple with the lower endpoint first so
@@ -155,9 +155,9 @@ pub struct CtEntry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Conntrack {
-    entries: HashMap<FlowKey, CtEntry>,
+    entries: WordMap<FlowKey, CtEntry>,
     /// Per-direction NAT bindings (iptables `nat` table state).
-    nat: HashMap<NatTuple, NatBinding>,
+    nat: WordMap<NatTuple, NatBinding>,
     /// Masquerade ports freed by lazy expiry, drained by the owner of
     /// the port allocator.
     freed_nat_ports: Vec<u16>,
@@ -195,8 +195,8 @@ impl Conntrack {
     /// and a 65536-entry capacity.
     pub fn new() -> Self {
         Conntrack {
-            entries: HashMap::new(),
-            nat: HashMap::new(),
+            entries: WordMap::default(),
+            nat: WordMap::default(),
             freed_nat_ports: Vec::new(),
             new_timeout: Nanos::from_secs(60),
             established_timeout: Nanos::from_secs(600),

@@ -6,9 +6,8 @@
 //! age from `Reachable` to `Stale` and are dropped after expiry.
 
 use crate::device::IfIndex;
-use linuxfp_packet::MacAddr;
+use linuxfp_packet::{MacAddr, WordMap};
 use linuxfp_sim::Nanos;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Neighbor entry state (the subset of NUD states we model).
@@ -55,7 +54,7 @@ pub struct NeighEntry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct NeighTable {
-    entries: HashMap<Ipv4Addr, NeighEntry>,
+    entries: WordMap<Ipv4Addr, NeighEntry>,
     /// How long an entry stays `Reachable` after confirmation.
     pub reachable_time: Nanos,
     /// How long a `Stale` entry survives before garbage collection.
@@ -73,7 +72,7 @@ impl NeighTable {
     /// Creates a table with Linux-like defaults (30 s reachable, 60 s GC).
     pub fn new() -> Self {
         NeighTable {
-            entries: HashMap::new(),
+            entries: WordMap::default(),
             reachable_time: Nanos::from_secs(30),
             gc_stale_time: Nanos::from_secs(60),
             generation: 0,

@@ -9,6 +9,7 @@
 
 use crate::device::IfIndex;
 use linuxfp_packet::ipv4::{IpProto, Prefix};
+use linuxfp_packet::WordSet;
 use linuxfp_sim::{CostModel, CostTracker};
 use linuxfp_telemetry::trace::{TraceCtx, TraceEvent};
 use linuxfp_telemetry::Counter;
@@ -185,9 +186,9 @@ impl Chain {
 #[derive(Debug, Clone)]
 pub enum IpSet {
     /// `hash:ip` — exact addresses.
-    HashIp(std::collections::HashSet<Ipv4Addr>),
+    HashIp(WordSet<Ipv4Addr>),
     /// `hash:net` — prefixes, looked up per distinct prefix length.
-    HashNet(BTreeMap<u8, std::collections::HashSet<u32>>),
+    HashNet(BTreeMap<u8, WordSet<u32>>),
 }
 
 impl IpSet {

@@ -26,7 +26,7 @@ use linuxfp_packet::icmp::{IcmpHeader, IcmpType};
 use linuxfp_packet::ipv4::{IpProto, Ipv4Header, Prefix};
 use linuxfp_packet::tcp::TcpHeader;
 use linuxfp_packet::udp::UdpHeader;
-use linuxfp_packet::{Batch, EtherType, EthernetFrame, MacAddr, Packet, PacketBuf};
+use linuxfp_packet::{Batch, EtherType, EthernetFrame, MacAddr, Packet, PacketBuf, WordMap};
 use linuxfp_sim::{CostModel, CostTracker, Nanos};
 use linuxfp_telemetry::trace::{
     Disposition, FlightRecorder, TraceCtx, TraceEvent, TraceRing, TraceSpan,
@@ -37,7 +37,7 @@ pub use linuxfp_telemetry::trace::{DropReason, PuntReason};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::Ipv4Addr;
 use std::str::FromStr;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The destination MAC of 802.1D BPDUs.
 pub const BPDU_MAC: MacAddr = MacAddr::new([0x01, 0x80, 0xC2, 0x00, 0x00, 0x00]);
@@ -353,6 +353,12 @@ struct StackTelemetry {
     slow_nat: Counter,
     slow_l7: Counter,
     batch_size: Histogram,
+    /// `linuxfp_shard_packets_total{shard}` by shard, each resolved on its
+    /// shard's first packet, so an unsharded run never creates one.
+    shard_packets: [OnceLock<Counter>; rss::MAX_RSS_SHARDS as usize],
+    /// `linuxfp_coherence_events_total{structure}` by
+    /// [`CoherentStruct::index`], each resolved on its first event.
+    coherence_events: [OnceLock<Counter>; CoherentStruct::ALL.len()],
 }
 
 impl StackTelemetry {
@@ -435,8 +441,28 @@ impl StackTelemetry {
             slow_nat: slow("nat"),
             slow_l7: slow("l7"),
             batch_size: registry.histogram("linuxfp_batch_size", &[], Scale::Identity),
+            shard_packets: Default::default(),
+            coherence_events: Default::default(),
             registry,
         }
+    }
+
+    fn shard_packets(&self, shard: usize) -> &Counter {
+        self.shard_packets[shard].get_or_init(|| {
+            self.registry.counter(
+                "linuxfp_shard_packets_total",
+                &[("shard", rss::SHARD_LABELS[shard])],
+            )
+        })
+    }
+
+    fn coherence_events(&self, s: CoherentStruct) -> &Counter {
+        self.coherence_events[s.index()].get_or_init(|| {
+            self.registry.counter(
+                "linuxfp_coherence_events_total",
+                &[("structure", s.as_str())],
+            )
+        })
     }
 }
 
@@ -468,14 +494,14 @@ pub struct Kernel {
     pub conntrack_forward: bool,
     sysctls: BTreeMap<String, i64>,
     netlink: NetlinkBus,
-    xdp_hooks: HashMap<IfIndex, HookFn>,
-    tc_hooks: HashMap<IfIndex, HookFn>,
-    pending_arp: HashMap<Ipv4Addr, Vec<(IfIndex, PacketBuf)>>,
-    vxlan_fdb: HashMap<IfIndex, HashMap<MacAddr, Ipv4Addr>>,
-    vxlan_defaults: HashMap<IfIndex, Vec<Ipv4Addr>>,
+    xdp_hooks: WordMap<IfIndex, HookFn>,
+    tc_hooks: WordMap<IfIndex, HookFn>,
+    pending_arp: WordMap<Ipv4Addr, Vec<(IfIndex, PacketBuf)>>,
+    vxlan_fdb: WordMap<IfIndex, WordMap<MacAddr, Ipv4Addr>>,
+    vxlan_defaults: WordMap<IfIndex, Vec<Ipv4Addr>>,
     /// Per-reason drop counters.
-    pub drop_counts: HashMap<&'static str, u64>,
-    counters: HashMap<IfIndex, DevCounters>,
+    pub drop_counts: WordMap<&'static str, u64>,
+    counters: WordMap<IfIndex, DevCounters>,
     /// BPDUs consumed by STP processing.
     pub bpdus_processed: u64,
     telemetry: Option<StackTelemetry>,
@@ -492,6 +518,8 @@ pub struct Kernel {
     /// 1 disables sharding entirely and is bit-identical to the
     /// pre-sharding datapath.
     rss_shards: u32,
+    /// Cached `net.linuxfp.flow_cache == 1`, read by every hooked packet.
+    flow_cache: bool,
     /// The shard whose packet the (serial) simulation is currently
     /// processing — set by RSS steering, read by coherence charging.
     pub(crate) current_shard: u32,
@@ -586,18 +614,19 @@ impl Kernel {
             conntrack_forward: false,
             sysctls,
             netlink: NetlinkBus::new(),
-            xdp_hooks: HashMap::new(),
-            tc_hooks: HashMap::new(),
-            pending_arp: HashMap::new(),
-            vxlan_fdb: HashMap::new(),
-            vxlan_defaults: HashMap::new(),
-            drop_counts: HashMap::new(),
-            counters: HashMap::new(),
+            xdp_hooks: WordMap::default(),
+            tc_hooks: WordMap::default(),
+            pending_arp: WordMap::default(),
+            vxlan_fdb: WordMap::default(),
+            vxlan_defaults: WordMap::default(),
+            drop_counts: WordMap::default(),
+            counters: WordMap::default(),
             bpdus_processed: 0,
             telemetry: None,
             recorder: None,
             time_generation: 0,
             rss_shards: 1,
+            flow_cache: true,
             current_shard: 0,
             shard_last_seen: vec![ShardView::default()],
             seed,
@@ -799,7 +828,7 @@ impl Kernel {
         self.ensure_name_free(name)?;
         let idx = self.alloc_index();
         let mac = self.gen_mac(idx);
-        self.vxlan_fdb.insert(idx, HashMap::new());
+        self.vxlan_fdb.insert(idx, WordMap::default());
         self.vxlan_defaults.insert(idx, Vec::new());
         Ok(self.register(NetDevice::new(
             idx,
@@ -1127,6 +1156,9 @@ impl Kernel {
                 recorder.set_every(value.max(0) as u64);
             }
         }
+        if name == "net.linuxfp.flow_cache" {
+            self.flow_cache = value == 1;
+        }
         if name == "net.linuxfp.rss_shards" {
             // Clamp and cache; resizing drops every shard's last-seen
             // view, so all shards start cold (they would on real cores
@@ -1162,7 +1194,7 @@ impl Kernel {
     /// Whether the fast path's microflow verdict cache is enabled
     /// (`net.linuxfp.flow_cache`, default on).
     pub fn flow_cache_enabled(&self) -> bool {
-        self.sysctl_get("net.linuxfp.flow_cache") == Some(1)
+        self.flow_cache
     }
 
     /// Whether synthesized programs are run through the bytecode
@@ -1274,12 +1306,7 @@ impl Kernel {
 
     fn count_coherence_event(&self, s: CoherentStruct) {
         if let Some(t) = &self.telemetry {
-            t.registry
-                .counter(
-                    "linuxfp_coherence_events_total",
-                    &[("structure", s.as_str())],
-                )
-                .inc();
+            t.coherence_events(s).inc();
         }
     }
 

@@ -78,12 +78,7 @@ impl Kernel {
             };
             if shards > 1 {
                 if let Some(t) = &self.telemetry {
-                    t.registry
-                        .counter(
-                            "linuxfp_shard_packets_total",
-                            &[("shard", rss::SHARD_LABELS[shard])],
-                        )
-                        .inc();
+                    t.shard_packets(shard).inc();
                 }
             }
             let mut out = RxOutcome::default();

@@ -46,6 +46,7 @@ pub mod batch;
 pub mod builder;
 pub mod checksum;
 pub mod eth;
+pub mod hash;
 pub mod icmp;
 pub mod ipv4;
 pub mod pool;
@@ -57,6 +58,7 @@ pub mod vxlan;
 pub use arp::{ArpOp, ArpPacket};
 pub use batch::Batch;
 pub use eth::{EtherType, EthernetFrame, MacAddr, VlanTag, ETH_HLEN};
+pub use hash::{SeededState, WordMap, WordSet};
 pub use icmp::{IcmpHeader, IcmpType};
 pub use ipv4::{IpProto, Ipv4Header, IPV4_MIN_HLEN};
 pub use pool::{BufferPool, PacketBuf, PoolStats, ShardedPool};

@@ -20,11 +20,13 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Callback invoked with fresh [`PoolStats`] after every acquire/recycle
-/// (how the telemetry crate exports a pool-occupancy gauge without this
-/// crate depending on it).
+/// Callback invoked with fresh [`PoolStats`] after every acquire, recycle
+/// and detach (how the telemetry crate exports a pool-occupancy gauge
+/// without this crate depending on it). It runs under the pool's lock,
+/// so observers see operations in order and must not call back into the
+/// pool.
 pub type OccupancyObserver = Arc<dyn Fn(&PoolStats) + Send + Sync>;
 
 /// Counters describing a pool's behavior. `allocated` only grows when the
@@ -44,72 +46,66 @@ pub struct PoolStats {
     pub free: u64,
 }
 
+/// Everything a pool operation reads or writes, behind the pool's one
+/// lock.
 #[derive(Default)]
 struct PoolState {
     free: Vec<Vec<u8>>,
     stats: PoolStats,
+    observer: Option<OccupancyObserver>,
+}
+
+impl PoolState {
+    /// Hands the post-operation stats to the observer, if any.
+    fn observe(&self) {
+        if let Some(f) = &self.observer {
+            f(&self.stats);
+        }
+    }
 }
 
 /// Shared pool internals; `PacketBuf` holds an `Arc` to return itself.
+#[derive(Default)]
 pub struct PoolInner {
     state: Mutex<PoolState>,
-    observer: Mutex<Option<OccupancyObserver>>,
 }
 
 impl PoolInner {
-    fn observe(&self, stats: PoolStats) {
-        let observer = self.observer.lock().expect("pool observer poisoned");
-        if let Some(f) = observer.as_ref() {
-            f(&stats);
-        }
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().expect("pool poisoned")
     }
 
     /// A checked-out buffer left the pool for good (`into_vec`).
     fn detach(&self) {
-        let stats = {
-            let mut state = self.state.lock().expect("pool poisoned");
-            state.stats.outstanding = state.stats.outstanding.saturating_sub(1);
-            state.stats
-        };
-        self.observe(stats);
+        let mut state = self.lock();
+        state.stats.outstanding = state.stats.outstanding.saturating_sub(1);
+        state.observe();
     }
 
     fn recycle(&self, mut buf: Vec<u8>) {
         buf.clear();
-        let stats = {
-            let mut state = self.state.lock().expect("pool poisoned");
-            state.free.push(buf);
-            state.stats.recycled += 1;
-            state.stats.outstanding = state.stats.outstanding.saturating_sub(1);
-            state.stats.free = state.free.len() as u64;
-            state.stats
-        };
-        self.observe(stats);
+        let mut state = self.lock();
+        state.free.push(buf);
+        state.stats.recycled += 1;
+        state.stats.outstanding = state.stats.outstanding.saturating_sub(1);
+        state.stats.free = state.free.len() as u64;
+        state.observe();
     }
 }
 
 impl fmt::Debug for PoolInner {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let state = self.state.lock().expect("pool poisoned");
         f.debug_struct("PoolInner")
-            .field("stats", &state.stats)
+            .field("stats", &self.lock().stats)
             .finish()
     }
 }
 
-/// A free-list buffer pool. Cloning is cheap (shared handle).
+/// A free-list buffer pool. Cloning is cheap (shared handle). Every
+/// operation takes the pool's one lock once.
 #[derive(Clone, Debug, Default)]
 pub struct BufferPool {
     inner: Arc<PoolInner>,
-}
-
-impl Default for PoolInner {
-    fn default() -> Self {
-        PoolInner {
-            state: Mutex::new(PoolState::default()),
-            observer: Mutex::new(None),
-        }
-    }
 }
 
 impl BufferPool {
@@ -120,8 +116,8 @@ impl BufferPool {
 
     /// Checks out an empty buffer, reusing a free one when available.
     pub fn acquire(&self) -> PacketBuf {
-        let (data, stats) = {
-            let mut state = self.inner.state.lock().expect("pool poisoned");
+        let data = {
+            let mut state = self.inner.lock();
             let data = match state.free.pop() {
                 Some(buf) => {
                     state.stats.reused += 1;
@@ -134,9 +130,9 @@ impl BufferPool {
             };
             state.stats.outstanding += 1;
             state.stats.free = state.free.len() as u64;
-            (data, state.stats)
+            state.observe();
+            data
         };
-        self.inner.observe(stats);
         PacketBuf {
             data,
             pool: Some(Arc::clone(&self.inner)),
@@ -152,13 +148,14 @@ impl BufferPool {
 
     /// Current pool counters.
     pub fn stats(&self) -> PoolStats {
-        self.inner.state.lock().expect("pool poisoned").stats
+        self.inner.lock().stats
     }
 
-    /// Registers (or replaces) the observer called after every
-    /// acquire/recycle with the post-operation [`PoolStats`].
+    /// Registers (or replaces) the observer called after every acquire,
+    /// recycle and detach with the post-operation [`PoolStats`], from the
+    /// next operation on.
     pub fn set_occupancy_observer(&self, observer: OccupancyObserver) {
-        *self.inner.observer.lock().expect("pool observer poisoned") = Some(observer);
+        self.inner.lock().observer = Some(observer);
     }
 }
 
@@ -406,6 +403,41 @@ mod tests {
         drop(a);
         drop(b);
         assert_eq!(peak.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn observer_runs_once_per_operation_on_post_operation_stats() {
+        let pool = BufferPool::new();
+        // Checked out before any observer: nobody sees this acquire.
+        let early = pool.acquire();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&seen);
+        pool.set_occupancy_observer(Arc::new(move |s: &PoolStats| {
+            log.lock().unwrap().push(*s);
+        }));
+        drop(early); // recycle
+        let reused = pool.acquire(); // acquire from the free list
+        let fresh = pool.acquire_from(b"x"); // acquire, allocating
+        drop(fresh.into_vec()); // detach
+        drop(reused); // recycle
+        let stats = |allocated, reused, recycled, outstanding, free| PoolStats {
+            allocated,
+            reused,
+            recycled,
+            outstanding,
+            free,
+        };
+        assert_eq!(
+            *seen.lock().unwrap(),
+            [
+                stats(1, 0, 1, 0, 1),
+                stats(1, 1, 1, 1, 0),
+                stats(2, 1, 1, 2, 0),
+                stats(2, 1, 1, 1, 0),
+                stats(2, 1, 2, 0, 1),
+            ]
+        );
+        assert_eq!(pool.stats(), stats(2, 1, 2, 0, 1));
     }
 
     #[test]

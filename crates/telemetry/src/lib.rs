@@ -6,6 +6,9 @@
 //! the same machinery, which is what this crate provides:
 //!
 //! - [`Counter`] / [`Gauge`] — atomic scalars, cloneable handles.
+//! - [`LocalCounter`] — a single owner's plain-integer tally in front of a
+//!   shared counter, published before every registry read (a per-CPU
+//!   counter, summed on read).
 //! - [`Histogram`] — lock-free log2-bucketed latency histogram whose
 //!   quantiles reuse the interpolation math in `linuxfp_sim::stats`.
 //! - [`Registry`] — the metric namespace. There are no globals: the
@@ -16,13 +19,13 @@
 //! - [`render_prometheus`] / [`snapshot_json`] — the two renderers.
 //!
 //! All handles are `Clone + Send + Sync`; the hot-path increment is a single
-//! relaxed atomic add.
+//! relaxed atomic add, or a plain add for a [`LocalCounter`].
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 use linuxfp_json::{json, Value};
 use linuxfp_sim::stats::weighted_percentile;
@@ -59,6 +62,73 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
+    }
+}
+
+/// A counter handle one owner increments without atomics, the way a
+/// per-CPU counter is bumped by its own core only.
+///
+/// Counts accumulate in a plain integer and reach the shared [`Counter`]
+/// on [`LocalCounter::publish`] — which the owner runs from a
+/// [`Collector`] (so every registry read sees them) — and on drop. A
+/// clone is a new tally, at zero, in front of the same counter.
+#[derive(Debug)]
+pub struct LocalCounter {
+    counter: Counter,
+    pending: u64,
+}
+
+impl LocalCounter {
+    /// A tally in front of `counter`, starting at zero.
+    pub fn new(counter: Counter) -> Self {
+        LocalCounter {
+            counter,
+            pending: 0,
+        }
+    }
+
+    /// Counts one.
+    #[inline]
+    pub fn inc(&mut self) {
+        self.pending += 1;
+    }
+
+    /// Counts `n`.
+    #[inline]
+    pub fn add(&mut self, n: u64) {
+        self.pending += n;
+    }
+
+    /// Moves the counts made since the last publish into the counter.
+    pub fn publish(&mut self) {
+        if self.pending > 0 {
+            self.counter.add(std::mem::take(&mut self.pending));
+        }
+    }
+}
+
+impl Clone for LocalCounter {
+    fn clone(&self) -> Self {
+        LocalCounter::new(self.counter.clone())
+    }
+}
+
+impl Drop for LocalCounter {
+    fn drop(&mut self) {
+        self.publish();
+    }
+}
+
+/// Publishes an owner's [`LocalCounter`]s. The registry runs every live
+/// collector before it reads a value.
+pub type Collector = Arc<dyn Fn() + Send + Sync>;
+
+#[derive(Default)]
+struct Collectors(Vec<Weak<dyn Fn() + Send + Sync>>);
+
+impl std::fmt::Debug for Collectors {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} collectors", self.0.len())
     }
 }
 
@@ -366,6 +436,7 @@ struct RegistryInner {
 pub struct Registry {
     inner: Arc<Mutex<RegistryInner>>,
     events: EventRing,
+    collectors: Arc<Mutex<Collectors>>,
 }
 
 impl Registry {
@@ -379,6 +450,26 @@ impl Registry {
         Registry {
             inner: Arc::default(),
             events: EventRing::with_capacity(capacity),
+            collectors: Arc::default(),
+        }
+    }
+
+    /// Runs `collector` before every read from now on, for as long as the
+    /// caller keeps it alive (the registry holds it weakly).
+    pub fn add_collector(&self, collector: &Collector) {
+        let mut collectors = self.collectors.lock().expect("collector lock");
+        collectors.0.retain(|c| c.strong_count() > 0);
+        collectors.0.push(Arc::downgrade(collector));
+    }
+
+    /// Publishes every live collector's pending counts.
+    fn collect(&self) {
+        let live: Vec<Collector> = {
+            let collectors = self.collectors.lock().expect("collector lock");
+            collectors.0.iter().filter_map(Weak::upgrade).collect()
+        };
+        for collector in live {
+            collector();
         }
     }
 
@@ -467,6 +558,7 @@ impl Registry {
     /// no such counter exists. Unlike [`Registry::counter`] this never
     /// creates the series — handy for assertions.
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
+        self.collect();
         let g = self.inner.lock().expect("registry lock");
         match g.series.get(&Self::key(name, labels)) {
             Some(Metric::Counter(c)) => Some(c.get()),
@@ -488,6 +580,7 @@ impl Registry {
     /// e.g. to tabulate per-FPM hit counts without knowing the label
     /// values up front.
     pub fn counter_series(&self, name: &str) -> Vec<(Vec<(String, String)>, u64)> {
+        self.collect();
         let g = self.inner.lock().expect("registry lock");
         g.series
             .iter()
@@ -502,6 +595,7 @@ impl Registry {
     /// Sum of all counters named `name` across every label set — e.g. the
     /// total fast-path hits over all FPM pipelines.
     pub fn counter_total(&self, name: &str) -> u64 {
+        self.collect();
         let g = self.inner.lock().expect("registry lock");
         g.series
             .iter()
@@ -514,6 +608,7 @@ impl Registry {
     }
 
     fn snapshot(&self) -> Vec<(SeriesKey, Metric)> {
+        self.collect();
         let g = self.inner.lock().expect("registry lock");
         g.series
             .iter()
@@ -674,6 +769,29 @@ pub fn snapshot_json(registry: &Registry) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn local_counts_reach_every_read_through_a_collector_and_on_drop() {
+        let reg = Registry::new();
+        let shard = Arc::new(Mutex::new(LocalCounter::new(reg.counter("x_total", &[]))));
+        shard.lock().unwrap().inc();
+        shard.lock().unwrap().add(2);
+        // Unpublished: the shared cell has not moved.
+        assert_eq!(reg.counter("x_total", &[]).get(), 0);
+        let owner = Arc::clone(&shard);
+        let collector: Collector = Arc::new(move || owner.lock().unwrap().publish());
+        reg.add_collector(&collector);
+        assert_eq!(reg.counter_value("x_total", &[]), Some(3));
+        shard.lock().unwrap().inc();
+        assert_eq!(reg.counter_total("x_total"), 4);
+        assert!(render_prometheus(&reg).contains("x_total 4"));
+        // A dropped collector is forgotten; the last owner's drop publishes.
+        drop(collector);
+        shard.lock().unwrap().inc();
+        assert_eq!(reg.counter_value("x_total", &[]), Some(4));
+        drop(shard);
+        assert_eq!(reg.counter_value("x_total", &[]), Some(5));
+    }
 
     #[test]
     fn counter_and_gauge_basics() {

@@ -544,7 +544,9 @@ impl TraceCtx {
             dev,
             shard: 0,
             start_ns,
-            events: Vec::new(),
+            // A forwarded packet records about ten events: reserve once
+            // rather than grow through four and eight.
+            events: Vec::with_capacity(16),
         }
     }
 
@@ -817,22 +819,33 @@ impl TraceRing {
 }
 
 /// 1-in-N head sampler. `every == 0` means off; `every == 1` samples
-/// every packet.
+/// every packet. Packet `seq` is sampled when `seq` is a multiple of
+/// `every`.
 #[derive(Debug, Clone, Default)]
 pub struct Sampler {
     every: u64,
     seen: u64,
+    /// The next multiple of `every` to sample: offering a packet is a
+    /// compare, not a division.
+    next: u64,
 }
 
 impl Sampler {
     /// Creates a sampler taking one packet in `every`.
     pub fn new(every: u64) -> Self {
-        Sampler { every, seen: 0 }
+        Sampler {
+            every,
+            seen: 0,
+            next: 0,
+        }
     }
 
     /// Changes the sampling period (0 = off) without resetting `seen`.
     pub fn set_every(&mut self, every: u64) {
         self.every = every;
+        if every > 0 {
+            self.next = self.seen.div_ceil(every) * every;
+        }
     }
 
     /// The current sampling period.
@@ -847,12 +860,12 @@ impl Sampler {
             return None;
         }
         let seq = self.seen;
-        self.seen = self.seen.wrapping_add(1);
-        if seq.is_multiple_of(self.every) {
-            Some(seq)
-        } else {
-            None
+        self.seen = seq.wrapping_add(1);
+        if seq != self.next {
+            return None;
         }
+        self.next = seq.wrapping_add(self.every);
+        Some(seq)
     }
 }
 
@@ -1199,6 +1212,28 @@ mod tests {
         let mut every = Sampler::new(1);
         assert_eq!(every.sample(), Some(0));
         assert_eq!(every.sample(), Some(1));
+    }
+
+    #[test]
+    fn sampler_samples_the_multiples_of_every_across_period_changes() {
+        // The oracle: count the packets offered while on, and sample the
+        // multiples of the current period.
+        let mut s = Sampler::new(3);
+        let (mut every, mut seen) = (3u64, 0u64);
+        for i in 0..2000u64 {
+            if i % 97 == 0 {
+                every = [0, 1, 3, 7, 64][(i / 97 % 5) as usize];
+                s.set_every(every);
+            }
+            let want = match every {
+                0 => None,
+                _ => {
+                    seen += 1;
+                    (seen - 1).is_multiple_of(every).then_some(seen - 1)
+                }
+            };
+            assert_eq!(s.sample(), want, "packet {i}, every {every}");
+        }
     }
 
     #[test]

@@ -56,6 +56,9 @@ echo "==> flow-cache misses allocate like hits: allocs_per_op <= 2.15625 on gate
 gate_allocs gateway_miss 2.15625
 gate_allocs router_thrash 2.15625
 
+echo "==> the flow-cache hit path gains no allocation: allocs_per_op <= 2.15625 on router_steady"
+gate_allocs router_steady 2.15625
+
 echo "==> verifying and optimizing allocate nothing per instruction: allocs_per_op <= 281 on reaction_storm"
 # Whole command cycles (six reactions) read 280.67 allocations per
 # reaction; a window that stops mid-cycle reads a little below, so the
