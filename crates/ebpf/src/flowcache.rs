@@ -60,7 +60,6 @@ use linuxfp_telemetry::{LocalCounter, Registry};
 use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 /// Default capacity of a per-hook cache (entries). Beyond it the least-
 /// recently-used flow is evicted; 4k microflows comfortably covers the
@@ -479,8 +478,8 @@ impl HelperEnv for RecordingEnv<'_> {
 }
 
 /// One cached flow: the final hook verdict, the frame transformation, and
-/// the helper calls to replay. Shared via `Arc` so a hit clones a pointer,
-/// not the op vectors.
+/// the helper calls to replay. Owned by its slab node; a hit borrows it
+/// for as long as its owner holds the cache.
 #[derive(Debug)]
 pub struct FlowEntry {
     /// The verdict interpretation reached.
@@ -533,15 +532,15 @@ pub struct FlowCacheStats {
 const NIL: u32 = u32::MAX;
 
 /// One flow in the slab, threaded on the recency list. 56 bytes — the
-/// packed key, the entry pointer and two links — so a node fits one
-/// cache line.
+/// packed key, the entry box and two links — so a node fits one cache
+/// line.
 #[derive(Debug)]
 struct Node {
     key: FlowKey,
     /// The recorded flow, or `None` for a placeholder: a flow sighted once
-    /// under the current generation, recorded on its next miss. The `Arc`
+    /// under the current generation, recorded on its next miss. The `Box`
     /// niche keeps the option pointer-sized.
-    entry: Option<Arc<FlowEntry>>,
+    entry: Option<Box<FlowEntry>>,
     /// Neighbour used more recently (towards the head), or [`NIL`].
     prev: u32,
     /// Neighbour used less recently (towards the tail), or [`NIL`].
@@ -558,9 +557,10 @@ enum Slot {
 
 /// What [`FlowCache::probe`] found for one eligible packet.
 #[derive(Debug)]
-pub enum Probe {
-    /// A recorded entry: serve its verdict.
-    Hit(Arc<FlowEntry>),
+pub enum Probe<'a> {
+    /// A recorded entry: serve its verdict. It borrows the cache, so the
+    /// hit is served under whatever guards the cache.
+    Hit(&'a FlowEntry),
     /// The flow's placeholder: this is its second sighting, so record the
     /// run and hand the result to [`FlowCache::record`].
     Admitted(Admission),
@@ -780,37 +780,36 @@ impl FlowCache {
     /// LRU position on success; **does not** count a miss (the caller
     /// counts misses via [`FlowCache::note_miss`] so ineligible packets
     /// are part of the ledger too).
-    pub fn lookup(&mut self, generation: u64, key: &FlowKey) -> Option<Arc<FlowEntry>> {
+    pub fn lookup(&mut self, generation: u64, key: &FlowKey) -> Option<&FlowEntry> {
         self.validate(generation);
         let i = *self.index.get(key)?;
-        let entry = Arc::clone(self.slab[i as usize].entry.as_ref()?);
-        self.note_hit(i);
-        Some(entry)
+        if self.slab[i as usize].entry.is_some() {
+            self.note_hit(i);
+        }
+        self.slab[i as usize].entry.as_deref()
     }
 
     /// The data path's lookup: serves a recorded entry, admits a flow's
     /// second sighting for recording, or places a placeholder on its
     /// first — with one index probe either way. Like
     /// [`FlowCache::lookup`] it counts hits but not misses.
-    pub fn probe(&mut self, generation: u64, key: &FlowKey) -> Probe {
+    pub fn probe(&mut self, generation: u64, key: &FlowKey) -> Probe<'_> {
         self.validate(generation);
         let i = match self.find_or_place(*key) {
             Slot::Placed(_) => return Probe::FirstSighting,
             Slot::Found(i) => i,
         };
-        match &self.slab[i as usize].entry {
-            Some(entry) => {
-                let entry = Arc::clone(entry);
-                self.note_hit(i);
-                Probe::Hit(entry)
-            }
-            None => {
-                self.touch(i);
-                Probe::Admitted(Admission {
-                    slot: i,
-                    generation,
-                })
-            }
+        if self.slab[i as usize].entry.is_some() {
+            self.note_hit(i);
+        } else {
+            self.touch(i);
+        }
+        match self.slab[i as usize].entry.as_deref() {
+            Some(entry) => Probe::Hit(entry),
+            None => Probe::Admitted(Admission {
+                slot: i,
+                generation,
+            }),
         }
     }
 
@@ -828,7 +827,7 @@ impl FlowCache {
         }
         match self.slab.get_mut(admission.slot as usize) {
             Some(node) if node.key == *key && node.entry.is_none() => {
-                node.entry = Some(Arc::new(entry));
+                node.entry = Some(Box::new(entry));
                 self.entries += 1;
                 bump(&mut self.stats.inserts, &mut self.counters.inserts, 1);
             }
@@ -856,7 +855,7 @@ impl FlowCache {
         };
         if self.slab[i as usize]
             .entry
-            .replace(Arc::new(entry))
+            .replace(Box::new(entry))
             .is_none()
         {
             self.entries += 1;

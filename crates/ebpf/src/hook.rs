@@ -12,8 +12,9 @@
 //! state in per-CPU map slots, a dispatcher here keeps one `Shard` per
 //! RSS receive queue — the microflow verdict cache, the resolved slot
 //! program and the shard's counter handles — behind one lock that only
-//! that queue's packets take. A cache hit takes that lock once; a miss
-//! takes it at most twice, before and after the program runs.
+//! that queue's packets take. A cache hit takes that lock once and is
+//! served under it, borrowing its recorded entry in place; a miss takes
+//! it at most twice, before and after the program runs.
 
 use crate::asm::Asm;
 use crate::compile;
@@ -26,7 +27,7 @@ use linuxfp_netstack::device::IfIndex;
 use linuxfp_netstack::stack::{rss, HookFn, HookVerdict, Kernel};
 use linuxfp_netstack::NetError;
 use linuxfp_packet::{rewrite, EthernetFrame, Packet};
-use linuxfp_sim::{CostModel, CostTracker};
+use linuxfp_sim::CostTracker;
 use linuxfp_telemetry::trace::{FlowCacheOutcome, PuntReason, TraceCtx, TraceEvent};
 use linuxfp_telemetry::{Collector, LocalCounter, Registry};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -273,6 +274,22 @@ struct ShardTelemetry {
     series: Option<ShardSeries>,
 }
 
+impl ShardTelemetry {
+    /// The ledger and, on a sharded datapath, the series of the shard
+    /// labelled `label`.
+    fn counters(
+        &mut self,
+        label: &'static str,
+        sharded: bool,
+    ) -> (&mut HookStats, Option<&mut ShardSeries>) {
+        let series = sharded.then(|| {
+            self.series
+                .get_or_insert_with(|| ShardSeries::in_registry(&self.registry, label))
+        });
+        (&mut self.stats, series)
+    }
+}
+
 impl Shard {
     fn new(label: &'static str) -> Shard {
         Shard {
@@ -298,12 +315,8 @@ impl Shard {
     /// The ledger and, on a sharded datapath, the shard series — when
     /// telemetry is on.
     fn counters(&mut self, sharded: bool) -> Option<(&mut HookStats, Option<&mut ShardSeries>)> {
-        let t = self.telemetry.as_mut()?;
-        let series = sharded.then(|| {
-            t.series
-                .get_or_insert_with(|| ShardSeries::in_registry(&t.registry, self.label))
-        });
-        Some((&mut t.stats, series))
+        let label = self.label;
+        Some(self.telemetry.as_mut()?.counters(label, sharded))
     }
 
     /// Publishes the shard's counts into the registry's counters.
@@ -333,7 +346,6 @@ fn hook_fn(
         HookPoint::Tc => "tc",
     };
     Arc::new(move |kernel: &mut Kernel, packet, tracker, trace| {
-        let cost = kernel.cost_model_arc();
         // The shard's state is keyed on the combined generation below,
         // which folds in every shared structure: reading it is where a
         // sharded datapath observes other cores' writes, so any stale
@@ -362,7 +374,8 @@ fn hook_fn(
         let mut resolved = None;
         let mut counting = false;
         if let Some(d) = &dispatcher {
-            let mut shard = d.lock_shard(rx_queue);
+            let mut guard = d.lock_shard(rx_queue);
+            let shard = &mut *guard;
             counting = shard.telemetry.is_some();
             if cache_on {
                 // Compared *before* the probe (which flushes lazily on a
@@ -373,15 +386,18 @@ fn hook_fn(
                 if let Some(k) = &key {
                     match shard.flows.probe(gen, k) {
                         Probe::Hit(entry) => {
-                            if let Some((stats, series)) = shard.counters(sharded) {
+                            if let Some(t) = &mut shard.telemetry {
+                                let (stats, series) = t.counters(shard.label, sharded);
                                 stats.record_verdict(&entry.verdict);
                                 if let Some(series) = series {
                                     series.record_verdict(&entry.verdict);
                                     series.flowcache_hits.inc();
                                 }
                             }
-                            drop(shard);
-                            return serve_hit(&entry, kernel, packet, tracker, trace, &cost);
+                            // Served under the shard lock, from the entry in
+                            // place: no replayed helper sends a packet or
+                            // reads the registry, so nothing re-enters it.
+                            return serve_hit(entry, kernel, packet, tracker, trace);
                         }
                         Probe::Admitted(admission) => admitted = Some(admission),
                         Probe::FirstSighting => {}
@@ -401,6 +417,7 @@ fn hook_fn(
         }
 
         // ---- miss: run the program (recording helper touches) --------
+        let cost = kernel.cost_model_arc();
         // A statically uncacheable slot program fails the first recording
         // gate whatever it does: skip the frame copy and the helper log.
         let record = admitted.filter(|_| resolved.as_ref().is_none_or(LoadedProgram::cacheable));
@@ -561,21 +578,20 @@ pub fn attach(
 
 /// Serves a packet from its flow's recorded entry: applies the rewrite,
 /// replays the helper touches and charges the flat hit price. The caller
-/// counted the verdict under its shard lock.
+/// holds its shard lock and counted the verdict under it.
 fn serve_hit(
     entry: &FlowEntry,
     kernel: &mut Kernel,
     packet: &mut Packet,
     tracker: &mut CostTracker,
     trace: &mut TraceCtx,
-    cost: &CostModel,
 ) -> HookVerdict {
     rewrite::apply_ops(&mut packet.data, &entry.ops);
     flowcache::replay_touches(&entry.touches, kernel);
     // The replay wrote shared state on this shard's behalf: its own
     // writes must not read as remote.
     kernel.coherence_refresh_fastpath();
-    tracker.charge("flowcache_hit", cost.flowcache_hit_ns);
+    tracker.charge("flowcache_hit", kernel.cost_model().flowcache_hit_ns);
     trace.event(|| TraceEvent::FlowCache {
         outcome: FlowCacheOutcome::Hit,
     });

@@ -66,4 +66,4 @@ pub mod stack;
 
 pub use device::{DeviceKind, IfIndex, NetDevice};
 pub use error::NetError;
-pub use stack::{Effect, HookVerdict, Kernel, RxOutcome};
+pub use stack::{Effect, Effects, HookVerdict, Kernel, RxOutcome};

@@ -33,6 +33,7 @@ use linuxfp_telemetry::trace::{
 };
 use linuxfp_telemetry::{Counter, Histogram, Registry, Scale};
 
+pub use effects::Effects;
 pub use linuxfp_telemetry::trace::{DropReason, PuntReason};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::Ipv4Addr;
@@ -153,7 +154,7 @@ pub enum Effect {
 pub struct RxOutcome {
     /// What happened to the packet (and any packets it triggered, e.g.
     /// ARP requests or flooded copies).
-    pub effects: Vec<Effect>,
+    pub effects: Effects,
     /// Cost of all processing performed.
     pub cost: CostTracker,
     /// Flight-recorder context: enabled only when this packet was
@@ -359,6 +360,12 @@ struct StackTelemetry {
     /// `linuxfp_coherence_events_total{structure}` by
     /// [`CoherentStruct::index`], each resolved on its first event.
     coherence_events: [OnceLock<Counter>; CoherentStruct::ALL.len()],
+    /// `linuxfp_drops_total{reason}` by reason, each resolved on its
+    /// reason's first drop.
+    drops: [OnceLock<Counter>; DropReason::ALL.len()],
+    /// `linuxfp_shard_drops_total{reason,shard}` by reason, then shard,
+    /// each resolved on its first drop.
+    shard_drops: [[OnceLock<Counter>; rss::MAX_RSS_SHARDS as usize]; DropReason::ALL.len()],
 }
 
 impl StackTelemetry {
@@ -443,6 +450,8 @@ impl StackTelemetry {
             batch_size: registry.histogram("linuxfp_batch_size", &[], Scale::Identity),
             shard_packets: Default::default(),
             coherence_events: Default::default(),
+            drops: std::array::from_fn(|_| OnceLock::new()),
+            shard_drops: std::array::from_fn(|_| Default::default()),
             registry,
         }
     }
@@ -452,6 +461,25 @@ impl StackTelemetry {
             self.registry.counter(
                 "linuxfp_shard_packets_total",
                 &[("shard", rss::SHARD_LABELS[shard])],
+            )
+        })
+    }
+
+    fn drops(&self, reason: DropReason) -> &Counter {
+        self.drops[reason as usize].get_or_init(|| {
+            self.registry
+                .counter("linuxfp_drops_total", &[("reason", reason.as_str())])
+        })
+    }
+
+    fn shard_drops(&self, reason: DropReason, shard: usize) -> &Counter {
+        self.shard_drops[reason as usize][shard].get_or_init(|| {
+            self.registry.counter(
+                "linuxfp_shard_drops_total",
+                &[
+                    ("reason", reason.as_str()),
+                    ("shard", rss::SHARD_LABELS[shard]),
+                ],
             )
         })
     }
@@ -526,6 +554,9 @@ pub struct Kernel {
     /// Per-shard last-seen generations of the shared structures. Empty
     /// of meaning when `rss_shards == 1` (never consulted).
     shard_last_seen: Vec<ShardView>,
+    /// [`Kernel::inject_batch`]'s per-shard amortizers, kept between
+    /// bursts so a burst allocates none.
+    burst_amorts: Vec<rx::BatchAmort>,
     seed: u64,
 }
 
@@ -544,9 +575,9 @@ pub struct BatchOutcome {
     /// Number of frames injected.
     pub batch_size: usize,
     /// Virtual time each shard spent on its slice of the burst (its
-    /// fixed batch cost plus its packets' costs). One entry per
-    /// configured shard; a single `[total]` entry when `rss_shards=1`.
-    /// Empty only for outcomes not produced by `inject_batch`.
+    /// fixed batch cost plus its packets' costs): one entry per
+    /// configured shard when `rss_shards > 1`. Empty when unsharded,
+    /// where the one shard's time is [`BatchOutcome::total_ns`].
     pub shard_ns: Vec<f64>,
 }
 
@@ -629,6 +660,7 @@ impl Kernel {
             flow_cache: true,
             current_shard: 0,
             shard_last_seen: vec![ShardView::default()],
+            burst_amorts: Vec::new(),
             seed,
         }
     }
@@ -1806,6 +1838,7 @@ pub fn wire_sharded_pool_telemetry(pool: &linuxfp_packet::ShardedPool, registry:
     }
 }
 
+mod effects;
 mod forward;
 mod housekeeping;
 mod local;

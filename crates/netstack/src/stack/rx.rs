@@ -2,7 +2,7 @@
 //! dispatch, the bridge input decision, and the punt up the stack.
 use super::*;
 
-/// Per-burst amortization state for [`Kernel::inject_batch`].
+/// One shard's per-burst amortization state for [`Kernel::inject_batch`].
 ///
 /// The cost model splits the driver-receive and hook-entry prices into a
 /// per-burst-fixed part and a per-packet remainder (`rx_batch_fixed_ns`,
@@ -14,13 +14,29 @@ use super::*;
 /// never processing order or verdicts.
 #[derive(Default)]
 pub(super) struct BatchAmort {
-    /// The shard whose slice of the burst this amortizes — the injected
-    /// frame's RSS steering, computed once by [`Kernel::inject_batch`].
-    shard: u32,
-    pub(super) batch_cost: CostTracker,
+    batch_cost: CostTracker,
     rx_charged: bool,
     xdp_charged: bool,
     tc_charged: bool,
+}
+
+/// The hooks attached to a burst's device, read once per burst: the code
+/// form of `hook_batch_fixed_ns`, as a driver hoists `READ_ONCE(prog)` out
+/// of its poll loop. A hook attached or detached mid-burst takes effect
+/// from the next burst.
+pub(super) struct BurstHooks {
+    xdp: Option<HookFn>,
+    tc: Option<HookFn>,
+}
+
+/// What a burst's injected frame carries down the receive path; frames
+/// it re-queues carry nothing and pay single-packet prices.
+pub(super) struct Burst<'a> {
+    /// The frame's RSS shard, steered once by [`Kernel::inject_batch`].
+    shard: u32,
+    /// That shard's amortizer.
+    amort: &'a mut BatchAmort,
+    hooks: &'a BurstHooks,
 }
 
 impl Kernel {
@@ -45,10 +61,15 @@ impl Kernel {
     /// is the accounting of per-burst fixed work — driver receive setup
     /// and hook dispatch are charged once into
     /// [`BatchOutcome::batch_cost`] instead of once per packet — and
-    /// housekeeping (conntrack GC, telemetry) runs once per burst. Frames
-    /// a packet re-queues internally (veth crossings, ARP replies) are
-    /// charged full single-packet prices: they are new arrivals, not part
-    /// of the received burst.
+    /// housekeeping (conntrack GC, telemetry) runs once per burst, as does
+    /// reading `dev`'s attached hooks. Frames a packet re-queues
+    /// internally (veth crossings, ARP replies) are charged full
+    /// single-packet prices: they are new arrivals, not part of the
+    /// received burst.
+    ///
+    /// Past the first burst, the returned outcome vector is the only
+    /// allocation a burst of cache hits makes (plus the per-shard times
+    /// on a sharded kernel).
     pub fn inject_batch(&mut self, dev: IfIndex, batch: &mut Batch) -> BatchOutcome {
         let n = batch.len();
         if let Some(t) = &self.telemetry {
@@ -60,37 +81,56 @@ impl Kernel {
         // per queue with traffic, so each shard pays its own per-burst
         // fixed cost and amortizes it over its slice of the burst only.
         // With rss_shards=1 this is a single amortizer and the loop is
-        // bit-identical to the pre-sharding path.
+        // bit-identical to the pre-sharding path. The amortizers are
+        // scratch reused across bursts.
         let shards = self.rss_shards.max(1) as usize;
-        let mut amorts: Vec<BatchAmort> = (0..shards as u32)
-            .map(|shard| BatchAmort {
-                shard,
-                ..BatchAmort::default()
-            })
-            .collect();
-        let mut shard_ns = vec![0.0f64; shards];
+        let mut amorts = std::mem::take(&mut self.burst_amorts);
+        amorts.clear();
+        amorts.resize_with(shards, BatchAmort::default);
+        let hooks = BurstHooks {
+            xdp: self.xdp_hooks.get(&dev).cloned(),
+            tc: self.tc_hooks.get(&dev).cloned(),
+        };
+        // Unsharded, the one shard's time is the burst's total.
+        let mut shard_ns = if shards > 1 {
+            vec![0.0f64; shards]
+        } else {
+            Vec::new()
+        };
         let mut outcomes = Vec::with_capacity(n);
         for buf in batch.drain() {
             let shard = if shards > 1 {
-                rss::shard_for(&buf, shards as u32) as usize
+                rss::shard_for(&buf, shards as u32)
             } else {
                 0
             };
             if shards > 1 {
                 if let Some(t) = &self.telemetry {
-                    t.shard_packets(shard).inc();
+                    t.shard_packets(shard as usize).inc();
                 }
             }
-            let mut out = RxOutcome::default();
-            self.run_to_completion(dev, buf, &mut out, Some(&mut amorts[shard]));
-            shard_ns[shard] += out.cost.total_ns();
-            outcomes.push(out);
+            // Filled in place: an outcome is too large to build and move.
+            let i = outcomes.len();
+            outcomes.push(RxOutcome::default());
+            let out = &mut outcomes[i];
+            let burst = Burst {
+                shard,
+                amort: &mut amorts[shard as usize],
+                hooks: &hooks,
+            };
+            self.run_to_completion(dev, buf, out, Some(burst));
+            if let Some(ns) = shard_ns.get_mut(shard as usize) {
+                *ns += out.cost.total_ns();
+            }
         }
         let mut batch_cost = CostTracker::new();
         for (shard, amort) in amorts.iter().enumerate() {
-            shard_ns[shard] += amort.batch_cost.total_ns();
+            if let Some(ns) = shard_ns.get_mut(shard) {
+                *ns += amort.batch_cost.total_ns();
+            }
             batch_cost.merge(&amort.batch_cost);
         }
+        self.burst_amorts = amorts;
         BatchOutcome {
             outcomes,
             batch_cost,
@@ -126,7 +166,7 @@ impl Kernel {
         dev: IfIndex,
         frame: PacketBuf,
         out: &mut RxOutcome,
-        mut amort: Option<&mut BatchAmort>,
+        mut burst: Option<Burst<'_>>,
     ) {
         // Flight recorder: decide up front whether this packet gets a
         // span. With sampling off (or no recorder) `out.trace` stays the
@@ -150,7 +190,7 @@ impl Kernel {
             // Only the injected frame itself belongs to the burst;
             // anything re-queued is a fresh arrival at another device
             // and pays full single-packet prices: `take` leaves `None`.
-            self.receive_one(dev, frame, out, &mut queue, amort.take());
+            self.receive_one(dev, frame, out, &mut queue, burst.take());
         }
         self.finish_trace(out);
     }
@@ -188,22 +228,12 @@ impl Kernel {
 
     pub(super) fn drop(&mut self, out: &mut RxOutcome, reason: DropReason) {
         if let Some(t) = &self.telemetry {
-            // Reasons are a small static set; get-or-create is off the
-            // common path (drops only).
-            t.registry
-                .counter("linuxfp_drops_total", &[("reason", reason.as_str())])
-                .inc();
+            t.drops(reason).inc();
             // The sharded datapath also attributes the drop to its
             // owning shard — a separate series so single-core runs keep
             // their exact label set.
             if self.rss_shards > 1 {
-                let shard = rss::SHARD_LABELS[self.current_shard as usize];
-                t.registry
-                    .counter(
-                        "linuxfp_shard_drops_total",
-                        &[("reason", reason.as_str()), ("shard", shard)],
-                    )
-                    .inc();
+                t.shard_drops(reason, self.current_shard as usize).inc();
             }
         }
         *self.drop_counts.entry(reason.as_str()).or_insert(0) += 1;
@@ -217,7 +247,7 @@ impl Kernel {
         frame: PacketBuf,
         out: &mut RxOutcome,
         queue: &mut VecDeque<(IfIndex, PacketBuf)>,
-        mut amort: Option<&mut BatchAmort>,
+        mut burst: Option<Burst<'_>>,
     ) {
         let Some(device) = self.devices.get(&dev) else {
             self.drop(out, DropReason::NoSuchDevice);
@@ -228,11 +258,12 @@ impl Kernel {
             return;
         }
         match device.kind {
-            DeviceKind::Physical => match amort.as_deref_mut() {
-                Some(a) => {
-                    if !a.rx_charged {
-                        a.rx_charged = true;
-                        a.batch_cost
+            DeviceKind::Physical => match burst.as_mut() {
+                Some(b) => {
+                    if !b.amort.rx_charged {
+                        b.amort.rx_charged = true;
+                        b.amort
+                            .batch_cost
                             .charge("driver_rx", self.cost.rx_batch_fixed_ns);
                     }
                     out.charge(
@@ -261,8 +292,8 @@ impl Kernel {
         // unsharded path.
         if self.rss_shards > 1 {
             // A burst's frames were steered when they were sliced by shard.
-            let shard = match amort.as_deref() {
-                Some(a) => a.shard,
+            let shard = match &burst {
+                Some(b) => b.shard,
                 None => rss::shard_for(&pkt.data, self.rss_shards),
             };
             pkt.rx_queue = shard;
@@ -270,13 +301,26 @@ impl Kernel {
             out.trace.set_shard(shard);
         }
 
+        // The burst's injected frame runs the hooks the burst read; any
+        // other frame reads its own device's.
+        let burst_hooks = burst.as_ref().map(|b| b.hooks);
+
         // XDP hook: before any sk_buff exists.
-        if let Some(hook) = self.xdp_hooks.get(&dev).cloned() {
-            match amort.as_deref_mut() {
-                Some(a) => {
-                    if !a.xdp_charged {
-                        a.xdp_charged = true;
-                        a.batch_cost
+        let read;
+        let xdp = match burst_hooks {
+            Some(hooks) => hooks.xdp.as_ref(),
+            None => {
+                read = self.xdp_hooks.get(&dev).cloned();
+                read.as_ref()
+            }
+        };
+        if let Some(hook) = xdp {
+            match burst.as_mut() {
+                Some(b) => {
+                    if !b.amort.xdp_charged {
+                        b.amort.xdp_charged = true;
+                        b.amort
+                            .batch_cost
                             .charge("xdp_entry", self.cost.hook_batch_fixed_ns);
                     }
                     out.charge(
@@ -312,12 +356,21 @@ impl Kernel {
         out.charge("skb_alloc", self.cost.skb_alloc_ns);
 
         // TC ingress hook.
-        if let Some(hook) = self.tc_hooks.get(&dev).cloned() {
-            match amort {
-                Some(a) => {
-                    if !a.tc_charged {
-                        a.tc_charged = true;
-                        a.batch_cost
+        let read;
+        let tc = match burst_hooks {
+            Some(hooks) => hooks.tc.as_ref(),
+            None => {
+                read = self.tc_hooks.get(&dev).cloned();
+                read.as_ref()
+            }
+        };
+        if let Some(hook) = tc {
+            match burst {
+                Some(b) => {
+                    if !b.amort.tc_charged {
+                        b.amort.tc_charged = true;
+                        b.amort
+                            .batch_cost
                             .charge("tc_entry", self.cost.hook_batch_fixed_ns);
                     }
                     out.charge(

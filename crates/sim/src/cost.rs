@@ -387,6 +387,11 @@ impl Default for CostModel {
 /// holds 2⁶⁴ fs ≈ 5.1 h of virtual time — the largest in the tree is one
 /// controller reaction, ≈ 1.05 s — and panics rather than wrap past it.
 ///
+/// The first 12 distinct stages live inline, so a routed or filtered
+/// packet's tracker — a cache hit charges four or five stages, the slow
+/// path about ten — never touches the heap; later stages spill to a `Vec`
+/// (a pod-to-pod hop through a bridge, VXLAN and two TC hooks charges 14).
+///
 /// # Example
 ///
 /// ```
@@ -400,12 +405,20 @@ impl Default for CostModel {
 /// assert_eq!(t.stage_ns("ip_rcv"), 90.0);
 /// assert_eq!(t.stage_count("ip_rcv"), 2);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct CostTracker {
     total_fs: u64,
-    /// One slot per distinct stage name, in first-charge order.
-    stages: Vec<(&'static str, Slot)>,
+    /// Slots in use at the front of `inline`.
+    inline_len: usize,
+    /// The first distinct stages, in first-charge order.
+    inline: [(&'static str, Slot); INLINE_STAGES],
+    /// The stages past the inline ones, in first-charge order; empty
+    /// until `inline` is full.
+    spill: Vec<(&'static str, Slot)>,
 }
+
+/// Distinct stages a [`CostTracker`] holds without allocating.
+const INLINE_STAGES: usize = 12;
 
 /// One stage's charge count and femtosecond sum.
 #[derive(Debug, Clone, Copy, Default)]
@@ -443,6 +456,17 @@ impl CostTracker {
         CostTracker::default()
     }
 
+    /// Every slot in use, inline ones first, in first-charge order.
+    fn slots(&self) -> impl Iterator<Item = &(&'static str, Slot)> {
+        self.inline[..self.inline_len].iter().chain(&self.spill)
+    }
+
+    /// The position in [`slots`](Self::slots) of the first name `matches`
+    /// accepts.
+    fn position(&self, matches: impl Fn(&'static str) -> bool) -> Option<usize> {
+        self.slots().position(|(name, _)| matches(name))
+    }
+
     /// The slot accumulating `stage`, created on its first charge.
     ///
     /// A cache hit still makes about five charges per packet, and a repeat
@@ -452,24 +476,25 @@ impl CostTracker {
     /// slot: contents are compared when no address matches.
     fn slot(&mut self, stage: &'static str) -> &mut Slot {
         let found = self
-            .stages
-            .iter()
-            .position(|(name, _)| std::ptr::eq(*name, stage))
-            .or_else(|| self.stages.iter().position(|(name, _)| *name == stage));
+            .position(|name| std::ptr::eq(name, stage))
+            .or_else(|| self.position(|name| name == stage));
         let i = found.unwrap_or_else(|| {
-            if self.stages.capacity() == 0 {
-                // One allocation serves the 5–14 stages a packet's path charges.
-                self.stages.reserve_exact(16);
+            if self.inline_len < INLINE_STAGES {
+                self.inline[self.inline_len] = (stage, Slot::default());
+                self.inline_len += 1;
+            } else {
+                self.spill.push((stage, Slot::default()));
             }
-            self.stages.push((stage, Slot::default()));
-            self.stages.len() - 1
+            self.inline_len + self.spill.len() - 1
         });
-        &mut self.stages[i].1
+        match i.checked_sub(self.inline_len) {
+            None => &mut self.inline[i].1,
+            Some(spilled) => &mut self.spill[spilled].1,
+        }
     }
 
     fn find(&self, stage: &str) -> Option<&Slot> {
-        self.stages
-            .iter()
+        self.slots()
             .find(|(name, _)| *name == stage)
             .map(|(_, slot)| slot)
     }
@@ -527,8 +552,7 @@ impl CostTracker {
     /// Iterates over `(stage, aggregated cost)` in stage-name order.
     pub fn stages(&self) -> impl Iterator<Item = (&'static str, StageCost)> + '_ {
         let mut sorted: Vec<_> = self
-            .stages
-            .iter()
+            .slots()
             .map(|&(name, Slot { count, fs })| {
                 let total_ns = to_ns(fs);
                 (name, StageCost { count, total_ns })
@@ -541,15 +565,25 @@ impl CostTracker {
     /// Resets all accumulated costs.
     pub fn reset(&mut self) {
         self.total_fs = 0;
-        self.stages.clear();
+        self.inline_len = 0;
+        self.spill.clear();
     }
 
     /// Merges another tracker's charges into this one.
     pub fn merge(&mut self, other: &CostTracker) {
         self.add_total(other.total_fs);
-        for &(stage, Slot { count, fs }) in &other.stages {
+        for &(stage, Slot { count, fs }) in other.slots() {
             self.add_stage(stage, count, fs);
         }
+    }
+}
+
+impl fmt::Debug for CostTracker {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CostTracker")
+            .field("total_fs", &self.total_fs)
+            .field("stages", &self.slots().collect::<Vec<_>>())
+            .finish()
     }
 }
 
@@ -691,9 +725,9 @@ mod tests {
         assert_eq!(tracker.to_string(), oracle.display());
     }
 
-    /// More names than the first reservation, so the slot vector regrows;
-    /// "ebpf_insn" twice: the literal, and an equal name at another
-    /// address, as the same literal in two crates would be.
+    /// More names than the inline slots, so a tracker charged with them
+    /// all spills; "ebpf_insn" twice: the literal, and an equal name at
+    /// another address, as the same literal in two crates would be.
     fn stage_names() -> [&'static str; 19] {
         let twin: &'static str = Box::leak(String::from("ebpf_insn").into_boxed_str());
         assert!(!std::ptr::eq(twin, "ebpf_insn"));
@@ -720,38 +754,81 @@ mod tests {
         ]
     }
 
+    /// Seed `seed`'s share of `names`: 4 to all 19, so some trackers stay
+    /// inline and others spill.
+    fn name_pool<'a>(names: &'a [&'static str], seed: u64) -> &'a [&'static str] {
+        &names[..4 + seed as usize % (names.len() - 3)]
+    }
+
+    /// Which sides of the inline boundary a test's operations reached.
+    #[derive(Debug, Default)]
+    struct Crossings {
+        /// A tracker that had spilled merged into one that had not.
+        spilled_into_inline: bool,
+        /// A tracker that had spilled was reset.
+        reset_after_spill: bool,
+        /// A charge found the slot an equal name at another address owns,
+        /// inline (`[0]`) or spilled (`[1]`).
+        twin: [bool; 2],
+    }
+
+    impl Crossings {
+        fn note_charge(&mut self, tracker: &CostTracker, stage: &'static str) {
+            if let Some(i) = tracker.position(|name| name == stage && !std::ptr::eq(name, stage)) {
+                self.twin[usize::from(i >= INLINE_STAGES)] = true;
+            }
+        }
+
+        fn note_merge(&mut self, into: &CostTracker, from: &CostTracker) {
+            self.spilled_into_inline |= into.spill.is_empty() && !from.spill.is_empty();
+        }
+
+        fn assert_all(&self) {
+            assert!(
+                self.spilled_into_inline && self.reset_after_spill && self.twin == [true; 2],
+                "{self:?}"
+            );
+        }
+    }
+
     #[test]
     fn tracker_matches_the_btreemap_oracle() {
         let names = stage_names();
-        for seed in 0..16 {
+        let mut crossed = Crossings::default();
+        for seed in 0..32 {
             let mut rng = crate::SimRng::seed(seed);
+            let pool = name_pool(&names, seed);
             let (mut tracker, mut oracle) = (CostTracker::new(), MapTracker::default());
             let (mut side, mut side_oracle) = (CostTracker::new(), MapTracker::default());
             for _ in 0..3000 {
                 // Prices that are not whole femtoseconds, so rounding is
                 // exercised on every charge.
                 let ns = rng.uniform_f64() * 300.0 + 0.1;
-                let stage = *rng.choose(&names);
+                let stage = *rng.choose(pool);
                 match rng.uniform_u64(1000) {
-                    0..=1 => {
+                    0..=4 => {
+                        crossed.reset_after_spill |= !tracker.spill.is_empty();
                         tracker.reset();
                         oracle = MapTracker::default();
                     }
-                    2..=19 => {
+                    5..=24 => {
+                        crossed.note_merge(&tracker, &side);
                         tracker.merge(&side);
                         oracle.merge(&side_oracle);
                         side.reset();
                         side_oracle = MapTracker::default();
                     }
-                    20..=39 => {
+                    25..=44 => {
                         tracker.charge_untracked(ns);
                         oracle.total_fs += to_fs(ns);
                     }
-                    40..=299 => {
+                    45..=399 => {
+                        crossed.note_charge(&side, stage);
                         side.charge(stage, ns);
                         side_oracle.charge(stage, ns);
                     }
                     _ => {
+                        crossed.note_charge(&tracker, stage);
                         tracker.charge(stage, ns);
                         oracle.charge(stage, ns);
                     }
@@ -760,6 +837,7 @@ mod tests {
             }
             assert_same(&side, &side_oracle);
         }
+        crossed.assert_all();
     }
 
     #[derive(Clone)]
@@ -767,17 +845,26 @@ mod tests {
         Charge(&'static str, f64),
         ChargeN(&'static str, f64, u64),
         Untracked(f64),
-        Merge(CostTracker),
+        Merge(Box<CostTracker>),
     }
 
-    fn apply(ops: &[Op]) -> CostTracker {
+    fn apply(ops: &[Op], crossed: &mut Crossings) -> CostTracker {
         let mut t = CostTracker::new();
         for op in ops {
             match op {
-                Op::Charge(stage, ns) => t.charge(stage, *ns),
-                Op::ChargeN(stage, ns, n) => t.charge_n(stage, *ns, *n),
+                Op::Charge(stage, ns) => {
+                    crossed.note_charge(&t, stage);
+                    t.charge(stage, *ns);
+                }
+                Op::ChargeN(stage, ns, n) => {
+                    crossed.note_charge(&t, stage);
+                    t.charge_n(stage, *ns, *n);
+                }
                 Op::Untracked(ns) => t.charge_untracked(*ns),
-                Op::Merge(other) => t.merge(other),
+                Op::Merge(other) => {
+                    crossed.note_merge(&t, other);
+                    t.merge(other);
+                }
             }
         }
         t
@@ -786,33 +873,36 @@ mod tests {
     #[test]
     fn any_order_of_the_same_charges_reads_back_bit_identical() {
         let names = stage_names();
+        let mut crossed = Crossings::default();
         for seed in 0..32 {
             let mut rng = crate::SimRng::seed(seed);
+            let pool = name_pool(&names, seed);
             let price = |rng: &mut crate::SimRng| rng.uniform_f64() * 300.0 + 0.1;
             let mut ops = Vec::new();
             for _ in 0..400 {
-                let stage = *rng.choose(&names);
+                let stage = *rng.choose(pool);
                 ops.push(match rng.uniform_u64(10) {
                     0 => {
+                        // Up to 16 charges: some sides spill.
                         let mut side = CostTracker::new();
-                        for _ in 0..rng.uniform_u64(6) {
-                            let stage = *rng.choose(&names);
+                        for _ in 0..rng.uniform_u64(17) {
+                            let stage = *rng.choose(pool);
                             side.charge(stage, price(&mut rng));
                         }
-                        Op::Merge(side)
+                        Op::Merge(Box::new(side))
                     }
                     1 => Op::Untracked(price(&mut rng)),
                     2..=4 => Op::ChargeN(stage, price(&mut rng), rng.uniform_u64(200)),
                     _ => Op::Charge(stage, price(&mut rng)),
                 });
             }
-            let reference = apply(&ops);
+            let reference = apply(&ops, &mut crossed);
             for _ in 0..8 {
                 // Fisher–Yates.
                 for i in (1..ops.len()).rev() {
                     ops.swap(i, rng.uniform_u64(i as u64 + 1) as usize);
                 }
-                assert_eq!(apply(&ops), reference);
+                assert_eq!(apply(&ops, &mut crossed), reference);
             }
             // One charge_n is its n single charges, count included.
             let unrolled: Vec<Op> = ops
@@ -822,8 +912,18 @@ mod tests {
                     ref other => vec![other.clone()],
                 })
                 .collect();
-            assert_eq!(apply(&unrolled), reference);
+            assert_eq!(apply(&unrolled, &mut crossed), reference);
+            // A reset spilled tracker is empty: merging the reference into
+            // it reads back the reference.
+            let mut reused = apply(&ops, &mut crossed);
+            crossed.reset_after_spill |= !reused.spill.is_empty();
+            reused.reset();
+            assert_eq!(reused, CostTracker::new());
+            crossed.note_merge(&reused, &reference);
+            reused.merge(&reference);
+            assert_eq!(reused, reference);
         }
+        crossed.assert_all();
     }
 
     #[test]

@@ -192,3 +192,114 @@ fn batching_is_strictly_cheaper_per_packet() {
         "burst 32 ({t32:.1} ns) must beat burst 1 ({t1:.1} ns)"
     );
 }
+
+/// A hook that counts its runs and returns `verdict`.
+fn counting_hook(
+    verdict: linuxfp::netstack::HookVerdict,
+) -> (
+    linuxfp::netstack::stack::HookFn,
+    std::sync::Arc<std::sync::atomic::AtomicU64>,
+) {
+    use linuxfp::netstack::Kernel;
+    use linuxfp::packet::Packet;
+    use linuxfp::sim::CostTracker;
+    use linuxfp::telemetry::trace::TraceCtx;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    let runs = Arc::new(AtomicU64::new(0));
+    let counted = Arc::clone(&runs);
+    let hook = Arc::new(
+        move |_: &mut Kernel, _: &mut Packet, _: &mut CostTracker, _: &mut TraceCtx| {
+            counted.fetch_add(1, Ordering::Relaxed);
+            verdict
+        },
+    );
+    (hook, runs)
+}
+
+#[test]
+fn hooks_are_read_once_per_burst_and_requeued_frames_run_their_own() {
+    use linuxfp::netstack::stack::IfAddr;
+    use linuxfp::netstack::{HookVerdict, Kernel};
+    use std::sync::atomic::Ordering;
+
+    // eth0 and veth_a are ports of br0; veth_b, veth_a's peer, is not.
+    let mut k = Kernel::new(3);
+    let eth0 = k.add_physical("eth0").unwrap();
+    let (veth_a, veth_b) = k.add_veth_pair("veth_a", "veth_b").unwrap();
+    let br0 = k.add_bridge("br0").unwrap();
+    for dev in [eth0, veth_a, veth_b, br0] {
+        k.ip_link_set_up(dev).unwrap();
+    }
+    k.brctl_addif(br0, eth0).unwrap();
+    k.brctl_addif(br0, veth_a).unwrap();
+    let host = k.add_physical("host0").unwrap();
+    k.ip_link_set_up(host).unwrap();
+    k.ip_addr_add(host, "10.0.0.1/24".parse::<IfAddr>().unwrap())
+        .unwrap();
+    let host_mac = k.device(host).unwrap().mac;
+    let burst = |n: u16, dst_mac| -> Batch {
+        let mut batch = Batch::new();
+        for i in 0..n {
+            batch.push(builder::udp_packet(
+                SOURCE_MAC,
+                dst_mac,
+                Ipv4Addr::new(10, 0, 0, 2),
+                Ipv4Addr::new(10, 0, 0, 1),
+                1000 + i,
+                7,
+                b"x",
+            ));
+        }
+        batch
+    };
+    let drops = |out: &linuxfp::netstack::stack::BatchOutcome| -> Vec<Vec<&str>> {
+        out.outcomes.iter().map(|rx| rx.drops()).collect()
+    };
+
+    // Every attach, detach and re-attach between bursts is what the next
+    // burst runs.
+    let delivered = |k: &mut Kernel| {
+        let out = k.inject_batch(host, &mut burst(4, host_mac));
+        out.outcomes.iter().all(|rx| rx.deliveries().len() == 1)
+    };
+    assert!(delivered(&mut k));
+    let (drop_all, dropped) = counting_hook(HookVerdict::Drop);
+    k.attach_xdp(host, drop_all).unwrap();
+    let out = k.inject_batch(host, &mut burst(4, host_mac));
+    assert_eq!(drops(&out), vec![vec!["xdp drop"]; 4]);
+    assert_eq!(dropped.load(Ordering::Relaxed), 4);
+    k.detach_xdp(host);
+    assert!(delivered(&mut k));
+    assert_eq!(dropped.load(Ordering::Relaxed), 4);
+    let (pass_all, passed) = counting_hook(HookVerdict::Pass);
+    k.attach_xdp(host, pass_all).unwrap();
+    assert!(delivered(&mut k));
+    assert_eq!(passed.load(Ordering::Relaxed), 4);
+    let (tc_drop, tc_dropped) = counting_hook(HookVerdict::Drop);
+    k.attach_tc_ingress(host, tc_drop).unwrap();
+    let out = k.inject_batch(host, &mut burst(4, host_mac));
+    assert_eq!(drops(&out), vec![vec!["tc drop"]; 4]);
+    assert_eq!(passed.load(Ordering::Relaxed), 8);
+    assert_eq!(tc_dropped.load(Ordering::Relaxed), 4);
+
+    // A burst on eth0 floods (unknown destination) out veth_a, so each
+    // frame re-arrives on veth_b: eth0's hook runs on the burst, veth_b's
+    // own hook on the re-queued frames.
+    let (on_eth0, eth0_runs) = counting_hook(HookVerdict::Pass);
+    let (on_veth_b, veth_b_runs) = counting_hook(HookVerdict::Drop);
+    k.attach_xdp(eth0, on_eth0).unwrap();
+    k.attach_xdp(veth_b, on_veth_b).unwrap();
+    let unknown = linuxfp::packet::MacAddr::from_index(0x77);
+    let out = k.inject_batch(eth0, &mut burst(4, unknown));
+    assert_eq!(drops(&out), vec![vec!["xdp drop"]; 4]);
+    assert_eq!(eth0_runs.load(Ordering::Relaxed), 4);
+    assert_eq!(veth_b_runs.load(Ordering::Relaxed), 4);
+    // The re-queued arrivals paid single-packet prices: a veth crossing
+    // and a full XDP entry each, nothing into the burst's fixed cost.
+    for rx in &out.outcomes {
+        assert_eq!(rx.cost.stage_count("veth_cross"), 1);
+        assert_eq!(rx.cost.stage_count("xdp_entry"), 2);
+    }
+    assert_eq!(out.batch_cost.stage_count("xdp_entry"), 1);
+}
