@@ -346,15 +346,13 @@ fn hook_fn(
         HookPoint::Tc => "tc",
     };
     Arc::new(move |kernel: &mut Kernel, packet, tracker, trace| {
-        // The shard's state is keyed on the combined generation below,
-        // which folds in every shared structure: reading it is where a
-        // sharded datapath observes other cores' writes, so any stale
-        // structure is charged here before the generation is read.
-        kernel.coherence_charge_fastpath(tracker, trace);
         // The one coherence number the shard's state keys on: any kernel
-        // state mutation, time advance, or data-path swap changes it.
+        // state mutation, time advance, or data-path swap changes it. It
+        // folds in every shared structure, so reading it is where a
+        // sharded datapath observes other cores' writes: any stale
+        // structure is charged in the same pass.
         let gen = kernel
-            .state_generation()
+            .fastpath_generation(tracker, trace)
             .wrapping_add(maps.prog_generation());
         let ingress = packet.ingress_ifindex;
         let rx_queue = packet.rx_queue;
@@ -587,10 +585,13 @@ fn serve_hit(
     trace: &mut TraceCtx,
 ) -> HookVerdict {
     rewrite::apply_ops(&mut packet.data, &entry.ops);
-    flowcache::replay_touches(&entry.touches, kernel);
-    // The replay wrote shared state on this shard's behalf: its own
-    // writes must not read as remote.
-    kernel.coherence_refresh_fastpath();
+    if !entry.touches.is_empty() {
+        flowcache::replay_touches(&entry.touches, kernel);
+        // The replay wrote shared state on this shard's behalf: its own
+        // writes must not read as remote. With nothing replayed, nothing
+        // moved since the generation was read.
+        kernel.coherence_refresh_fastpath();
+    }
     tracker.charge("flowcache_hit", kernel.cost_model().flowcache_hit_ns);
     trace.event(|| TraceEvent::FlowCache {
         outcome: FlowCacheOutcome::Hit,

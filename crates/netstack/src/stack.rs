@@ -554,9 +554,6 @@ pub struct Kernel {
     /// Per-shard last-seen generations of the shared structures. Empty
     /// of meaning when `rss_shards == 1` (never consulted).
     shard_last_seen: Vec<ShardView>,
-    /// [`Kernel::inject_batch`]'s per-shard amortizers, kept between
-    /// bursts so a burst allocates none.
-    burst_amorts: Vec<rx::BatchAmort>,
     seed: u64,
 }
 
@@ -578,7 +575,51 @@ pub struct BatchOutcome {
     /// fixed batch cost plus its packets' costs): one entry per
     /// configured shard when `rss_shards > 1`. Empty when unsharded,
     /// where the one shard's time is [`BatchOutcome::total_ns`].
-    pub shard_ns: Vec<f64>,
+    pub shard_ns: ShardTimes,
+}
+
+/// Per-shard virtual times, held inline: up to [`rss::MAX_RSS_SHARDS`]
+/// entries, so a sharded burst allocates nothing for them. Reads as a
+/// slice of nanoseconds.
+#[derive(Clone, Copy, Default, PartialEq)]
+pub struct ShardTimes {
+    len: usize,
+    ns: [f64; rss::MAX_RSS_SHARDS as usize],
+}
+
+impl ShardTimes {
+    /// `shards` zero times.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` exceeds [`rss::MAX_RSS_SHARDS`].
+    pub(crate) fn zeroed(shards: usize) -> ShardTimes {
+        assert!(shards <= rss::MAX_RSS_SHARDS as usize, "{shards} shards");
+        ShardTimes {
+            len: shards,
+            ..ShardTimes::default()
+        }
+    }
+}
+
+impl std::ops::Deref for ShardTimes {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        &self.ns[..self.len]
+    }
+}
+
+impl std::ops::DerefMut for ShardTimes {
+    fn deref_mut(&mut self) -> &mut [f64] {
+        &mut self.ns[..self.len]
+    }
+}
+
+impl std::fmt::Debug for ShardTimes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 impl BatchOutcome {
@@ -660,7 +701,6 @@ impl Kernel {
             flow_cache: true,
             current_shard: 0,
             shard_last_seen: vec![ShardView::default()],
-            burst_amorts: Vec::new(),
             seed,
         }
     }
@@ -1300,40 +1340,51 @@ impl Kernel {
         self.count_coherence_event(s);
     }
 
-    /// Fast-path flavor of [`Kernel::coherence`] for hook programs,
-    /// which compare the *combined* state generation to key their
-    /// caches and therefore read every structure's generation line.
-    /// Charges one miss per structure that went stale.
-    pub fn coherence_charge_fastpath(&mut self, cost: &mut CostTracker, trace: &mut TraceCtx) {
+    /// Every shared structure's generation, each read once.
+    fn shard_view(&self) -> ShardView {
+        CoherentStruct::ALL.map(|s| self.structure_generation(s))
+    }
+
+    /// The fast-path flavor of [`Kernel::coherence`] for hook programs,
+    /// which key their caches on the *combined* state generation and so
+    /// read every structure's generation line: returns
+    /// [`Kernel::state_generation`], read in one pass over the
+    /// structures. Sharded, that pass also charges one miss per structure
+    /// whose generation moved since the current shard last looked (in
+    /// [`CoherentStruct::ALL`] order) and makes the shard's view current.
+    /// Unsharded it charges nothing.
+    pub fn fastpath_generation(&mut self, cost: &mut CostTracker, trace: &mut TraceCtx) -> u64 {
         if self.rss_shards <= 1 {
-            return;
+            return self.state_generation();
         }
-        for s in CoherentStruct::ALL {
-            let gen = self.structure_generation(s);
-            let shard = self.current_shard as usize;
-            if self.shard_last_seen[shard][s.index()] != gen {
-                self.shard_last_seen[shard][s.index()] = gen;
-                cost.charge("coherence", self.cost.coherence_miss_ns);
-                trace.stage("coherence", self.cost.coherence_miss_ns);
-                self.count_coherence_event(s);
+        let view = self.shard_view();
+        let seen = std::mem::replace(&mut self.shard_last_seen[self.current_shard as usize], view);
+        if seen != view {
+            for (s, (was, now)) in CoherentStruct::ALL.into_iter().zip(seen.iter().zip(&view)) {
+                if was != now {
+                    cost.charge("coherence", self.cost.coherence_miss_ns);
+                    trace.stage("coherence", self.cost.coherence_miss_ns);
+                    self.count_coherence_event(s);
+                }
             }
         }
+        view.iter().fold(
+            self.netlink.generation().wrapping_add(self.time_generation),
+            |g, &s| g.wrapping_add(s),
+        )
     }
 
     /// Re-syncs the current shard's whole view after a fast-path program
     /// ran: helper calls may have written shared state (conntrack
     /// refresh, FDB refresh, NAT counters, L7 pins), and a shard's own
     /// writes must not read as remote on its next packet. Serial
-    /// execution guarantees any generation movement since the matching
-    /// charge call was this shard's own.
+    /// execution guarantees any generation movement since
+    /// [`Kernel::fastpath_generation`] was this shard's own.
     pub fn coherence_refresh_fastpath(&mut self) {
         if self.rss_shards <= 1 {
             return;
         }
-        for s in CoherentStruct::ALL {
-            let gen = self.structure_generation(s);
-            self.shard_last_seen[self.current_shard as usize][s.index()] = gen;
-        }
+        self.shard_last_seen[self.current_shard as usize] = self.shard_view();
     }
 
     fn count_coherence_event(&self, s: CoherentStruct) {

@@ -2,23 +2,45 @@
 //! dispatch, the bridge input decision, and the punt up the stack.
 use super::*;
 
-/// One shard's per-burst amortization state for [`Kernel::inject_batch`].
+/// A price the cost model splits into a per-burst fixed part and a
+/// per-packet remainder (`rx_batch_fixed_ns`, `hook_batch_fixed_ns`).
 ///
-/// The cost model splits the driver-receive and hook-entry prices into a
-/// per-burst-fixed part and a per-packet remainder (`rx_batch_fixed_ns`,
-/// `hook_batch_fixed_ns`). In batched mode the first packet to reach each
-/// stage charges the fixed part **once** into the shared batch tracker;
-/// every packet then pays only the remainder. Single-packet injection
-/// charges full prices, so a batch of one costs exactly the same total
-/// as [`Kernel::receive`] — amortization changes cost accounting only,
-/// never processing order or verdicts.
-#[derive(Default)]
-pub(super) struct BatchAmort {
-    batch_cost: CostTracker,
-    rx_charged: bool,
-    xdp_charged: bool,
-    tc_charged: bool,
+/// In batched mode each shard's first packet to reach the stage charges
+/// the fixed part **once** into the burst's tracker; every packet then
+/// pays only the remainder. Single-packet injection charges full prices,
+/// so a batch of one costs exactly the same total as [`Kernel::receive`]
+/// — amortization changes cost accounting only, never processing order
+/// or verdicts.
+#[derive(Clone, Copy)]
+enum Amortized {
+    DriverRx,
+    XdpEntry,
+    TcEntry,
 }
+
+impl Amortized {
+    const ALL: [Amortized; 3] = [Amortized::DriverRx, Amortized::XdpEntry, Amortized::TcEntry];
+
+    fn stage(self) -> &'static str {
+        match self {
+            Amortized::DriverRx => "driver_rx",
+            Amortized::XdpEntry => "xdp_entry",
+            Amortized::TcEntry => "tc_entry",
+        }
+    }
+
+    /// The whole price and its per-burst fixed part.
+    fn prices(self, cost: &CostModel) -> (f64, f64) {
+        match self {
+            Amortized::DriverRx => (cost.driver_rx_ns, cost.rx_batch_fixed_ns),
+            Amortized::XdpEntry => (cost.xdp_entry_ns, cost.hook_batch_fixed_ns),
+            Amortized::TcEntry => (cost.tc_entry_ns, cost.hook_batch_fixed_ns),
+        }
+    }
+}
+
+/// Which [`Amortized`] fixed parts one shard has charged this burst.
+type Charged = [bool; Amortized::ALL.len()];
 
 /// The hooks attached to a burst's device, read once per burst: the code
 /// form of `hook_batch_fixed_ns`, as a driver hoists `READ_ONCE(prog)` out
@@ -34,8 +56,10 @@ pub(super) struct BurstHooks {
 pub(super) struct Burst<'a> {
     /// The frame's RSS shard, steered once by [`Kernel::inject_batch`].
     shard: u32,
-    /// That shard's amortizer.
-    amort: &'a mut BatchAmort,
+    /// The fixed parts that shard has charged.
+    charged: &'a mut Charged,
+    /// The burst's fixed costs, every shard's.
+    batch_cost: &'a mut CostTracker,
     hooks: &'a BurstHooks,
 }
 
@@ -68,8 +92,7 @@ impl Kernel {
     /// received burst.
     ///
     /// Past the first burst, the returned outcome vector is the only
-    /// allocation a burst of cache hits makes (plus the per-shard times
-    /// on a sharded kernel).
+    /// allocation a burst of cache hits makes, sharded or not.
     pub fn inject_batch(&mut self, dev: IfIndex, batch: &mut Batch) -> BatchOutcome {
         let n = batch.len();
         if let Some(t) = &self.telemetry {
@@ -77,26 +100,20 @@ impl Kernel {
             t.packets_injected.add(n as u64);
         }
         self.packet_path_gc();
-        // One amortizer per shard: a multi-queue NIC runs one NAPI poll
-        // per queue with traffic, so each shard pays its own per-burst
-        // fixed cost and amortizes it over its slice of the burst only.
-        // With rss_shards=1 this is a single amortizer and the loop is
-        // bit-identical to the pre-sharding path. The amortizers are
-        // scratch reused across bursts.
+        // A multi-queue NIC runs one NAPI poll per queue with traffic, so
+        // each shard pays its own per-burst fixed cost and amortizes it
+        // over its slice of the burst only. With rss_shards=1 there is
+        // one shard and the loop is bit-identical to the pre-sharding
+        // path.
         let shards = self.rss_shards.max(1) as usize;
-        let mut amorts = std::mem::take(&mut self.burst_amorts);
-        amorts.clear();
-        amorts.resize_with(shards, BatchAmort::default);
+        let mut charged = [Charged::default(); rss::MAX_RSS_SHARDS as usize];
+        let mut batch_cost = CostTracker::new();
         let hooks = BurstHooks {
             xdp: self.xdp_hooks.get(&dev).cloned(),
             tc: self.tc_hooks.get(&dev).cloned(),
         };
         // Unsharded, the one shard's time is the burst's total.
-        let mut shard_ns = if shards > 1 {
-            vec![0.0f64; shards]
-        } else {
-            Vec::new()
-        };
+        let mut shard_ns = ShardTimes::zeroed(if shards > 1 { shards } else { 0 });
         let mut outcomes = Vec::with_capacity(n);
         for buf in batch.drain() {
             let shard = if shards > 1 {
@@ -115,7 +132,8 @@ impl Kernel {
             let out = &mut outcomes[i];
             let burst = Burst {
                 shard,
-                amort: &mut amorts[shard as usize],
+                charged: &mut charged[shard as usize],
+                batch_cost: &mut batch_cost,
                 hooks: &hooks,
             };
             self.run_to_completion(dev, buf, out, Some(burst));
@@ -123,14 +141,13 @@ impl Kernel {
                 *ns += out.cost.total_ns();
             }
         }
-        let mut batch_cost = CostTracker::new();
-        for (shard, amort) in amorts.iter().enumerate() {
-            if let Some(ns) = shard_ns.get_mut(shard) {
-                *ns += amort.batch_cost.total_ns();
-            }
-            batch_cost.merge(&amort.batch_cost);
+        for (ns, charged) in shard_ns.iter_mut().zip(&charged) {
+            let fixed = Amortized::ALL
+                .into_iter()
+                .filter(|part| charged[*part as usize])
+                .map(|part| part.prices(&self.cost).1);
+            *ns += CostTracker::total_of(fixed);
         }
-        self.burst_amorts = amorts;
         BatchOutcome {
             outcomes,
             batch_cost,
@@ -241,6 +258,28 @@ impl Kernel {
         out.effects.push(Effect::Drop { reason });
     }
 
+    /// Charges `part`'s price to one frame: a burst's frame pays the
+    /// per-packet remainder, and the first of its shard's frames to reach
+    /// `part` also pays the fixed part into the burst's tracker; any
+    /// other frame pays the whole price.
+    fn charge_amortized(
+        &self,
+        out: &mut RxOutcome,
+        burst: Option<&mut Burst<'_>>,
+        part: Amortized,
+    ) {
+        let (price, fixed) = part.prices(&self.cost);
+        match burst {
+            Some(b) => {
+                if !std::mem::replace(&mut b.charged[part as usize], true) {
+                    b.batch_cost.charge(part.stage(), fixed);
+                }
+                out.charge(part.stage(), price - fixed);
+            }
+            None => out.charge(part.stage(), price),
+        }
+    }
+
     pub(super) fn receive_one(
         &mut self,
         dev: IfIndex,
@@ -249,6 +288,24 @@ impl Kernel {
         queue: &mut VecDeque<(IfIndex, PacketBuf)>,
         mut burst: Option<Burst<'_>>,
     ) {
+        // RSS steering: the NIC's flow hash picks the receive queue (and
+        // therefore the shard/core) before any software runs — so a drop
+        // below, even for a missing or down device, is the steered
+        // shard's. The queue index rides on the packet like
+        // `xdp_md.rx_queue_index`, so hook programs can select their
+        // per-shard caches from it. Skipped entirely at rss_shards=1 —
+        // bit-identical to the unsharded path.
+        let mut rx_queue = 0;
+        if self.rss_shards > 1 {
+            // A burst's frames were steered when they were sliced by shard.
+            rx_queue = match &burst {
+                Some(b) => b.shard,
+                None => rss::shard_for(&frame, self.rss_shards),
+            };
+            self.current_shard = rx_queue;
+            out.trace.set_shard(rx_queue);
+        }
+
         let Some(device) = self.devices.get(&dev) else {
             self.drop(out, DropReason::NoSuchDevice);
             return;
@@ -258,21 +315,9 @@ impl Kernel {
             return;
         }
         match device.kind {
-            DeviceKind::Physical => match burst.as_mut() {
-                Some(b) => {
-                    if !b.amort.rx_charged {
-                        b.amort.rx_charged = true;
-                        b.amort
-                            .batch_cost
-                            .charge("driver_rx", self.cost.rx_batch_fixed_ns);
-                    }
-                    out.charge(
-                        "driver_rx",
-                        self.cost.driver_rx_ns - self.cost.rx_batch_fixed_ns,
-                    );
-                }
-                None => out.charge("driver_rx", self.cost.driver_rx_ns),
-            },
+            DeviceKind::Physical => {
+                self.charge_amortized(out, burst.as_mut(), Amortized::DriverRx);
+            }
             DeviceKind::Veth { .. } => out.charge("veth_cross", self.cost.veth_cross_ns),
             DeviceKind::Bridge | DeviceKind::Vxlan { .. } => {}
         }
@@ -283,23 +328,7 @@ impl Kernel {
         }
 
         let mut pkt = Packet::new(frame, dev.as_u32());
-
-        // RSS steering: the NIC's flow hash picks the receive queue (and
-        // therefore the shard/core) before any software runs. The queue
-        // index rides on the packet like `xdp_md.rx_queue_index`, so
-        // hook programs can select their per-shard caches from it.
-        // Skipped entirely at rss_shards=1 — bit-identical to the
-        // unsharded path.
-        if self.rss_shards > 1 {
-            // A burst's frames were steered when they were sliced by shard.
-            let shard = match &burst {
-                Some(b) => b.shard,
-                None => rss::shard_for(&pkt.data, self.rss_shards),
-            };
-            pkt.rx_queue = shard;
-            self.current_shard = shard;
-            out.trace.set_shard(shard);
-        }
+        pkt.rx_queue = rx_queue;
 
         // The burst's injected frame runs the hooks the burst read; any
         // other frame reads its own device's.
@@ -315,21 +344,7 @@ impl Kernel {
             }
         };
         if let Some(hook) = xdp {
-            match burst.as_mut() {
-                Some(b) => {
-                    if !b.amort.xdp_charged {
-                        b.amort.xdp_charged = true;
-                        b.amort
-                            .batch_cost
-                            .charge("xdp_entry", self.cost.hook_batch_fixed_ns);
-                    }
-                    out.charge(
-                        "xdp_entry",
-                        self.cost.xdp_entry_ns - self.cost.hook_batch_fixed_ns,
-                    );
-                }
-                None => out.charge("xdp_entry", self.cost.xdp_entry_ns),
-            }
+            self.charge_amortized(out, burst.as_mut(), Amortized::XdpEntry);
             match hook(self, &mut pkt, &mut out.cost, &mut out.trace) {
                 HookVerdict::Pass => {}
                 HookVerdict::Drop => {
@@ -365,21 +380,7 @@ impl Kernel {
             }
         };
         if let Some(hook) = tc {
-            match burst {
-                Some(b) => {
-                    if !b.amort.tc_charged {
-                        b.amort.tc_charged = true;
-                        b.amort
-                            .batch_cost
-                            .charge("tc_entry", self.cost.hook_batch_fixed_ns);
-                    }
-                    out.charge(
-                        "tc_entry",
-                        self.cost.tc_entry_ns - self.cost.hook_batch_fixed_ns,
-                    );
-                }
-                None => out.charge("tc_entry", self.cost.tc_entry_ns),
-            }
+            self.charge_amortized(out, burst.as_mut(), Amortized::TcEntry);
             match hook(self, &mut pkt, &mut out.cost, &mut out.trace) {
                 HookVerdict::Pass => {}
                 HookVerdict::Drop => {

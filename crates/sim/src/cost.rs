@@ -539,6 +539,15 @@ impl CostTracker {
         to_ns(self.total_fs)
     }
 
+    /// The [`total_ns`](Self::total_ns) a new tracker reads after one
+    /// charge of each of `prices`, without building it.
+    pub fn total_of(prices: impl IntoIterator<Item = f64>) -> f64 {
+        let fs = prices
+            .into_iter()
+            .fold(0u64, |sum, ns| sum.checked_add(to_fs(ns)).expect(OVERFLOW));
+        to_ns(fs)
+    }
+
     /// Nanoseconds charged to `stage` (zero if never charged).
     pub fn stage_ns(&self, stage: &str) -> f64 {
         self.find(stage).map_or(0.0, |s| to_ns(s.fs))
@@ -838,6 +847,22 @@ mod tests {
             assert_same(&side, &side_oracle);
         }
         crossed.assert_all();
+    }
+
+    #[test]
+    fn total_of_reads_what_a_charged_tracker_reads() {
+        let mut rng = crate::SimRng::seed(7);
+        for len in 0..64 {
+            let prices: Vec<f64> = (0..len).map(|_| rng.uniform_f64() * 300.0 + 0.1).collect();
+            let mut tracker = CostTracker::new();
+            for &ns in &prices {
+                tracker.charge("fixed", ns);
+            }
+            assert_eq!(
+                CostTracker::total_of(prices).to_bits(),
+                tracker.total_ns().to_bits()
+            );
+        }
     }
 
     #[derive(Clone)]
