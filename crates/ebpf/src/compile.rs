@@ -33,7 +33,7 @@ use crate::insn::{AluOp, HelperId, Insn, JmpCond, MemSize, MAX_TAIL_CALLS};
 use crate::maps::{MapId, MapStore};
 use crate::program::LoadedProgram;
 use crate::vm::{self, VmCtx, VmError, VmOutcome};
-use linuxfp_sim::{CostModel, CostTracker};
+use linuxfp_sim::{CostModel, CostTracker, Stage};
 
 /// One pre-decoded instruction. Jump targets are absolute indices into
 /// the op sequence; immediates and offsets are already widened to the
@@ -343,7 +343,7 @@ pub fn run(
             COp::TailCall { prog_array, index } => {
                 if tail_calls < u64::from(MAX_TAIL_CALLS) {
                     if let Some(next) = maps.prog_array_get(prog_array, index as usize) {
-                        tracker.charge("tail_call", cost.tail_call_ns);
+                        tracker.charge(Stage::TailCall, cost.tail_call_ns);
                         tail_calls += 1;
                         cur = next;
                         pc = 0;
@@ -366,7 +366,7 @@ pub fn run(
     };
     // Counted in the loop, priced here: every exit path pays for exactly
     // the instructions it executed, tail-called programs included.
-    tracker.charge_n("jit_insn", cost.jit_insn_ns, executed);
+    tracker.charge_n(Stage::JitInsn, cost.jit_insn_ns, executed);
     outcome
 }
 

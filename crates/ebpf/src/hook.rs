@@ -27,7 +27,7 @@ use linuxfp_netstack::device::IfIndex;
 use linuxfp_netstack::stack::{rss, HookFn, HookVerdict, Kernel};
 use linuxfp_netstack::NetError;
 use linuxfp_packet::{rewrite, EthernetFrame, Packet};
-use linuxfp_sim::CostTracker;
+use linuxfp_sim::{CostTracker, Stage};
 use linuxfp_telemetry::trace::{FlowCacheOutcome, PuntReason, TraceCtx, TraceEvent};
 use linuxfp_telemetry::{Collector, LocalCounter, Registry};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -592,7 +592,7 @@ fn serve_hit(
         // moved since the generation was read.
         kernel.coherence_refresh_fastpath();
     }
-    tracker.charge("flowcache_hit", kernel.cost_model().flowcache_hit_ns);
+    tracker.charge(Stage::FlowcacheHit, kernel.cost_model().flowcache_hit_ns);
     trace.event(|| TraceEvent::FlowCache {
         outcome: FlowCacheOutcome::Hit,
     });

@@ -28,7 +28,7 @@ use linuxfp_netstack::device::IfIndex;
 use linuxfp_netstack::netfilter::{NfVerdict, PacketMeta};
 use linuxfp_packet::ipv4::IpProto;
 use linuxfp_packet::MacAddr;
-use linuxfp_sim::{CostModel, CostTracker};
+use linuxfp_sim::{CostModel, CostTracker, Stage};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -368,7 +368,7 @@ pub fn run(
             Insn::TailCall { prog_array, index } => {
                 if tail_calls < u64::from(MAX_TAIL_CALLS) {
                     if let Some(next) = maps.prog_array_get(MapId(prog_array), index as usize) {
-                        tracker.charge("tail_call", cost.tail_call_ns);
+                        tracker.charge(Stage::TailCall, cost.tail_call_ns);
                         tail_calls += 1;
                         cur = next;
                         pc = 0;
@@ -391,7 +391,7 @@ pub fn run(
     };
     // Counted in the loop, priced here: every exit path pays for exactly
     // the instructions it executed, tail-called programs included.
-    tracker.charge_n("jit_insn", cost.jit_insn_ns, executed);
+    tracker.charge_n(Stage::JitInsn, cost.jit_insn_ns, executed);
     outcome
 }
 
@@ -519,7 +519,7 @@ pub(crate) fn call_helper(
 ) -> Result<(), VmError> {
     let r0 = match helper {
         HelperId::FibLookup => {
-            tracker.charge("helper_fib_lookup", cost.helper_fib_lookup_ns);
+            tracker.charge(Stage::HelperFibLookup, cost.helper_fib_lookup_ns);
             let buf = m.stack_slice(m.regs[2], 24)?;
             let dst = Ipv4Addr::new(buf[0], buf[1], buf[2], buf[3]);
             match env.env_fib_lookup(dst) {
@@ -534,7 +534,7 @@ pub(crate) fn call_helper(
             }
         }
         HelperId::FdbLookup => {
-            tracker.charge("helper_fdb_lookup", cost.helper_fdb_lookup_ns);
+            tracker.charge(Stage::HelperFdbLookup, cost.helper_fdb_lookup_ns);
             let ingress = IfIndex(m.ctx.ingress_ifindex);
             let buf = m.stack_slice(m.regs[2], 20)?;
             let src = MacAddr::new([buf[0], buf[1], buf[2], buf[3], buf[4], buf[5]]);
@@ -551,7 +551,7 @@ pub(crate) fn call_helper(
             }
         }
         HelperId::IptLookup => {
-            tracker.charge("helper_ipt_base", cost.helper_ipt_base_ns);
+            tracker.charge(Stage::HelperIptBase, cost.helper_ipt_base_ns);
             let buf = m.stack_slice(m.regs[2], 24)?;
             let meta = PacketMeta {
                 src: Ipv4Addr::new(buf[0], buf[1], buf[2], buf[3]),
@@ -568,7 +568,7 @@ pub(crate) fn call_helper(
             }
         }
         HelperId::CtLookup => {
-            tracker.charge("conntrack", cost.conntrack_lookup_ns);
+            tracker.charge(Stage::Conntrack, cost.conntrack_lookup_ns);
             let buf = m.stack_slice(m.regs[2], 24)?;
             let src = Ipv4Addr::new(buf[0], buf[1], buf[2], buf[3]);
             let dst = Ipv4Addr::new(buf[4], buf[5], buf[6], buf[7]);
@@ -588,7 +588,7 @@ pub(crate) fn call_helper(
         HelperId::NatLookup => {
             // Same price as a conntrack lookup: the helper walks the
             // very same kernel table.
-            tracker.charge("nat_lookup", cost.conntrack_lookup_ns);
+            tracker.charge(Stage::NatLookup, cost.conntrack_lookup_ns);
             let buf = m.stack_slice(m.regs[2], 32)?;
             let src = Ipv4Addr::new(buf[0], buf[1], buf[2], buf[3]);
             let dst = Ipv4Addr::new(buf[4], buf[5], buf[6], buf[7]);
@@ -611,7 +611,7 @@ pub(crate) fn call_helper(
         HelperId::L7PolicyLookup => {
             // Same price as a conntrack lookup: the helper walks a small
             // kernel table keyed by the connection tuple.
-            tracker.charge("l7_lookup", cost.conntrack_lookup_ns);
+            tracker.charge(Stage::L7Lookup, cost.conntrack_lookup_ns);
             let pkt = &m.ctx.packet;
             // The synthesized program proves 54 bytes (Ethernet + IPv4
             // IHL=5 + minimal TCP) before this call is reachable; the
@@ -651,16 +651,16 @@ pub(crate) fn call_helper(
             }
         }
         HelperId::Redirect => {
-            tracker.charge("helper_redirect", cost.helper_redirect_ns);
+            tracker.charge(Stage::HelperRedirect, cost.helper_redirect_ns);
             m.redirect = Some(IfIndex(m.regs[1] as u32));
             Action::Redirect.code()
         }
         HelperId::KtimeGetNs => {
-            tracker.charge("helper_trivial", cost.helper_trivial_ns);
+            tracker.charge(Stage::HelperTrivial, cost.helper_trivial_ns);
             env.env_now().as_nanos()
         }
         HelperId::MapLookup => {
-            tracker.charge("map_lookup", cost.map_lookup_ns);
+            tracker.charge(Stage::MapLookup, cost.map_lookup_ns);
             let map = MapId(m.regs[1] as u32);
             let key_len = m.regs[3] as usize;
             let val_len = m.regs[5] as usize;
@@ -675,7 +675,7 @@ pub(crate) fn call_helper(
             }
         }
         HelperId::MapUpdate => {
-            tracker.charge("map_update", cost.map_update_ns);
+            tracker.charge(Stage::MapUpdate, cost.map_update_ns);
             let map = MapId(m.regs[1] as u32);
             let key_len = m.regs[3] as usize;
             let val_len = m.regs[5] as usize;
@@ -687,11 +687,11 @@ pub(crate) fn call_helper(
             }
         }
         HelperId::TrivialNf => {
-            tracker.charge("helper_trivial", cost.helper_trivial_ns);
+            tracker.charge(Stage::HelperTrivial, cost.helper_trivial_ns);
             0
         }
         HelperId::XskRedirect => {
-            tracker.charge("xsk_push", cost.xsk_push_ns);
+            tracker.charge(Stage::XskPush, cost.xsk_push_ns);
             let map = MapId(m.regs[1] as u32);
             if maps.xsk_push(map, m.ctx.packet.clone()) {
                 m.to_user = true;

@@ -6,9 +6,10 @@ use linuxfp_core::controller::{Controller, ControllerConfig};
 use linuxfp_core::Capabilities;
 use linuxfp_ebpf::hook::HookPoint;
 use linuxfp_netstack::device::IfIndex;
-use linuxfp_netstack::stack::{Effect, Kernel};
+use linuxfp_netstack::stack::{Effect, Effects, Kernel};
 use linuxfp_packet::ipv4::Prefix;
-use linuxfp_packet::{builder, EthernetFrame, Ipv4Header, MacAddr};
+use linuxfp_packet::{builder, EthernetFrame, Ipv4Header, MacAddr, PacketBuf};
+use linuxfp_sim::Stage;
 use std::net::Ipv4Addr;
 
 /// One pod's identity and attachment points.
@@ -98,10 +99,14 @@ pub struct DeliveryReport {
 /// forwarding helpers charge only when a synthesized program ran, and
 /// `flowcache_hit` only when the microflow cache replaced that run.
 fn fast_path_hits(cost: &linuxfp_sim::CostTracker) -> u64 {
-    ["helper_fdb_lookup", "helper_fib_lookup", "flowcache_hit"]
-        .iter()
-        .map(|stage| cost.stage_count(stage))
-        .sum()
+    [
+        Stage::HelperFdbLookup,
+        Stage::HelperFibLookup,
+        Stage::FlowcacheHit,
+    ]
+    .into_iter()
+    .map(|stage| cost.stage_count(stage))
+    .sum()
 }
 
 /// The simulated cluster.
@@ -269,32 +274,33 @@ impl Cluster {
             .expect("exists")
             .mac;
         let frame = builder::udp_packet(src.mac, gw_mac, src.ip, vip, sport, port, payload);
-        let mut wire: Vec<linuxfp_packet::PacketBuf> = Vec::new();
+        let mut wire = Vec::new();
         let mut receiver: Option<PodRef> = None;
-        let mut check_effects = |effects: &[Effect], node_idx: usize, nodes: &[Node]| {
-            let mut tx = Vec::new();
+        // Notes a delivery to a pod and moves transmitted frames onto
+        // the wire.
+        let mut take_effects = |effects: Effects,
+                                node_idx: usize,
+                                nodes: &[Node],
+                                wire: &mut Vec<PacketBuf>| {
             for effect in effects {
                 match effect {
                     Effect::Deliver { dev, frame } if frame.ends_with(payload) => {
-                        if let Some(p) = nodes[node_idx].pods.iter().position(|p| p.pod_if == *dev)
-                        {
+                        if let Some(p) = nodes[node_idx].pods.iter().position(|p| p.pod_if == dev) {
                             receiver = Some(PodRef {
                                 node: node_idx,
                                 pod: p,
                             });
                         }
                     }
-                    Effect::Transmit { frame, .. } => tx.push(frame.clone()),
+                    Effect::Transmit { frame, .. } => wire.push(frame),
                     _ => {}
                 }
             }
-            tx
         };
         let out = self.nodes[from.node]
             .kernel
             .transmit_frame(src.pod_if, frame);
-        let effects = out.effects.clone();
-        wire.extend(check_effects(&effects, from.node, &self.nodes));
+        take_effects(out.effects, from.node, &self.nodes, &mut wire);
         let mut hops = 0;
         while let Some(frame) = wire.pop() {
             hops += 1;
@@ -306,8 +312,7 @@ impl Cluster {
             };
             let eth0 = self.nodes[target].net.eth0;
             let out = self.nodes[target].kernel.receive(eth0, frame);
-            let effects = out.effects.clone();
-            wire.extend(check_effects(&effects, target, &self.nodes));
+            take_effects(out.effects, target, &self.nodes, &mut wire);
         }
         receiver
     }
@@ -345,15 +350,15 @@ impl Cluster {
         report.node_hops += 1;
         report.total_cost_ns += out.cost.total_ns();
         report.fast_path_hits += fast_path_hits(&out.cost);
-        let mut wire: Vec<linuxfp_packet::PacketBuf> = Vec::new();
-        for effect in &out.effects {
+        let mut wire = Vec::new();
+        for effect in out.effects {
             match effect {
                 Effect::Deliver { dev, frame }
-                    if *dev == dst.pod_if && from.node == to.node && frame.ends_with(payload) =>
+                    if dev == dst.pod_if && from.node == to.node && frame.ends_with(payload) =>
                 {
                     report.delivered = true;
                 }
-                Effect::Transmit { frame, .. } => wire.push(frame.clone()),
+                Effect::Transmit { frame, .. } => wire.push(frame),
                 _ => {}
             }
         }
@@ -374,14 +379,14 @@ impl Cluster {
             report.node_hops += 1;
             report.total_cost_ns += out.cost.total_ns();
             report.fast_path_hits += fast_path_hits(&out.cost);
-            for effect in &out.effects {
+            for effect in out.effects {
                 match effect {
                     Effect::Deliver { dev, frame }
-                        if *dev == dst.pod_if && target == to.node && frame.ends_with(payload) =>
+                        if dev == dst.pod_if && target == to.node && frame.ends_with(payload) =>
                     {
                         report.delivered = true;
                     }
-                    Effect::Transmit { frame, .. } => wire.push(frame.clone()),
+                    Effect::Transmit { frame, .. } => wire.push(frame),
                     _ => {}
                 }
             }

@@ -10,7 +10,7 @@
 use crate::device::IfIndex;
 use linuxfp_packet::ipv4::{IpProto, Prefix};
 use linuxfp_packet::WordSet;
-use linuxfp_sim::{CostModel, CostTracker};
+use linuxfp_sim::{CostModel, CostTracker, Stage};
 use linuxfp_telemetry::trace::{TraceCtx, TraceEvent};
 use linuxfp_telemetry::Counter;
 use std::collections::{BTreeMap, HashMap};
@@ -444,7 +444,7 @@ impl Netfilter {
         cost: &CostModel,
         tracker: &mut CostTracker,
     ) -> NfVerdict {
-        tracker.charge("nf_hook", cost.nf_hook_base_ns);
+        tracker.charge(Stage::NfHook, cost.nf_hook_base_ns);
         self.evaluate_with_rule_cost(hook, meta, cost, tracker, cost.nf_rule_linear_ns)
     }
 
@@ -489,8 +489,8 @@ impl Netfilter {
     ) -> NfVerdict {
         // The walk counts, this prices: one charge per stage per traversal.
         let walk = self.walk(hook, meta);
-        tracker.charge_n("nf_rule_match", rule_ns, walk.rules);
-        tracker.charge_n("ipset_lookup", cost.ipset_lookup_ns, walk.sets);
+        tracker.charge_n(Stage::NfRuleMatch, rule_ns, walk.rules);
+        tracker.charge_n(Stage::IpsetLookup, cost.ipset_lookup_ns, walk.sets);
         walk.verdict
     }
 
@@ -754,7 +754,7 @@ mod tests {
             // Traced: the same charges, after some earlier ones, and the
             // event carries the traversal's own share.
             let mut traced = CostTracker::new();
-            traced.charge("skb_alloc", cost.skb_alloc_ns);
+            traced.charge(Stage::SkbAlloc, cost.skb_alloc_ns);
             let mut trace = TraceCtx::begin(0, 1, 0);
             let v = nf.evaluate_traced(ChainHook::Forward, &m, &cost, &mut traced, &mut trace);
             assert_eq!((v, counts(&traced)), (verdict, (rules, sets)), "{dst:?}");

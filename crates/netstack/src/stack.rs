@@ -27,7 +27,7 @@ use linuxfp_packet::ipv4::{IpProto, Ipv4Header, Prefix};
 use linuxfp_packet::tcp::TcpHeader;
 use linuxfp_packet::udp::UdpHeader;
 use linuxfp_packet::{Batch, EtherType, EthernetFrame, MacAddr, Packet, PacketBuf, WordMap};
-use linuxfp_sim::{CostModel, CostTracker, Nanos};
+use linuxfp_sim::{CostModel, CostTracker, Nanos, Stage};
 use linuxfp_telemetry::trace::{
     Disposition, FlightRecorder, TraceCtx, TraceEvent, TraceRing, TraceSpan,
 };
@@ -170,9 +170,9 @@ impl RxOutcome {
     /// stage charges route through here so span stage events stay in
     /// sync with the cost tracker.
     #[inline]
-    pub(crate) fn charge(&mut self, stage: &'static str, ns: f64) {
+    pub(crate) fn charge(&mut self, stage: Stage, ns: f64) {
         self.cost.charge(stage, ns);
-        self.trace.stage(stage, ns);
+        self.trace.stage(stage.name(), ns);
     }
 
     /// Frames transmitted out physical NICs, as `(dev, frame)` pairs.
@@ -1336,7 +1336,7 @@ impl Kernel {
             return;
         }
         self.shard_last_seen[shard][s.index()] = gen;
-        out.charge("coherence", self.cost.coherence_miss_ns);
+        out.charge(Stage::Coherence, self.cost.coherence_miss_ns);
         self.count_coherence_event(s);
     }
 
@@ -1362,8 +1362,8 @@ impl Kernel {
         if seen != view {
             for (s, (was, now)) in CoherentStruct::ALL.into_iter().zip(seen.iter().zip(&view)) {
                 if was != now {
-                    cost.charge("coherence", self.cost.coherence_miss_ns);
-                    trace.stage("coherence", self.cost.coherence_miss_ns);
+                    cost.charge(Stage::Coherence, self.cost.coherence_miss_ns);
+                    trace.stage(Stage::Coherence.name(), self.cost.coherence_miss_ns);
                     self.count_coherence_event(s);
                 }
             }

@@ -71,6 +71,22 @@ impl<'a> IntoIterator for &'a Effects {
     }
 }
 
+/// The effects by value, in order: what a caller keeps (a transmitted
+/// frame put on the wire) it moves out instead of cloning.
+impl IntoIterator for Effects {
+    type Item = Effect;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<Effect>, std::vec::IntoIter<Effect>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let (first, rest) = match self.0 {
+            EffectsRepr::None => (None, Vec::new()),
+            EffectsRepr::One(effect) => (Some(effect), Vec::new()),
+            EffectsRepr::Many(effects) => (None, effects),
+        };
+        first.into_iter().chain(rest)
+    }
+}
+
 impl fmt::Debug for Effects {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.as_slice()).finish()
@@ -128,6 +144,7 @@ mod tests {
             assert_eq!(effects.len(), oracle.len());
             assert!(effects.iter().eq(&oracle));
             assert!((&effects).into_iter().eq(&oracle));
+            assert!(effects.clone().into_iter().eq(oracle.iter().cloned()));
             assert_eq!(format!("{effects:?}"), format!("{oracle:?}"));
             let copy = effects.clone();
             assert_eq!(copy.as_slice(), oracle.as_slice());

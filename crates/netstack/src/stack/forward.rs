@@ -11,7 +11,7 @@ impl Kernel {
         out: &mut RxOutcome,
         queue: &mut VecDeque<(IfIndex, PacketBuf)>,
     ) {
-        out.charge("ip_rcv", self.cost.ip_rcv_ns);
+        out.charge(Stage::IpRcv, self.cost.ip_rcv_ns);
         if let Some(t) = &self.telemetry {
             t.slow_ip.inc();
         }
@@ -30,7 +30,7 @@ impl Kernel {
         // Conntrack (when enabled for this host).
         if self.conntrack_forward {
             self.coherence(CoherentStruct::Conntrack, out);
-            out.charge("conntrack", self.cost.conntrack_lookup_ns);
+            out.charge(Stage::Conntrack, self.cost.conntrack_lookup_ns);
             let now = self.now;
             self.conntrack
                 .track(ip.src, meta.sport, ip.dst, meta.dport, ip.proto, now);
@@ -70,7 +70,7 @@ impl Kernel {
         if nat_active && matches!(ip.proto, IpProto::Udp | IpProto::Tcp) {
             self.coherence(CoherentStruct::Nat, out);
             self.coherence(CoherentStruct::Conntrack, out);
-            out.charge("nat_lookup", self.cost.conntrack_lookup_ns);
+            out.charge(Stage::NatLookup, self.cost.conntrack_lookup_ns);
             let now = self.now;
             let tuple = NatTuple::new(ip.src, meta.sport, ip.dst, meta.dport, ip.proto.to_u8());
             nat_ctx = self.nat.prerouting(&mut self.conntrack, tuple, dev, now);
@@ -110,7 +110,7 @@ impl Kernel {
         if !self.ipvs.is_empty() && matches!(ip.proto, IpProto::Udp | IpProto::Tcp) {
             self.coherence(CoherentStruct::Ipvs, out);
             self.coherence(CoherentStruct::Conntrack, out);
-            out.charge("conntrack", self.cost.conntrack_lookup_ns);
+            out.charge(Stage::Conntrack, self.cost.conntrack_lookup_ns);
             let now = self.now;
             let selected = self.ipvs.select_backend(
                 &mut self.conntrack,
@@ -127,7 +127,7 @@ impl Kernel {
                 if let Some(t) = &self.telemetry {
                     t.slow_ipvs.inc();
                 }
-                out.charge("ipvs_sched", self.cost.ipvs_sched_ns);
+                out.charge(Stage::IpvsSched, self.cost.ipvs_sched_ns);
                 Self::ipvs_nat_rewrite(&mut frame, l3, &ip, backend_ip, backend_port);
                 ip = Ipv4Header::parse(&frame[l3..]).expect("rewritten header valid");
                 meta = self.packet_meta(dev, &frame, l3, &ip);
@@ -170,7 +170,7 @@ impl Kernel {
         // precedes any route-miss ICMP on both paths.
         if self.l7.is_active() && ip.proto == IpProto::Tcp {
             self.coherence(CoherentStruct::L7, out);
-            out.charge("l7_policy", self.cost.conntrack_lookup_ns);
+            out.charge(Stage::L7Policy, self.cost.conntrack_lookup_ns);
             if let Some(t) = &self.telemetry {
                 t.slow_l7.inc();
             }
@@ -199,7 +199,7 @@ impl Kernel {
                     // Steered requests bypass FIB routing and exit the
                     // configured device directly (slow-path only: the
                     // fast path punts steer verdicts).
-                    out.charge("qdisc_xmit", self.cost.qdisc_xmit_ns);
+                    out.charge(Stage::QdiscXmit, self.cost.qdisc_xmit_ns);
                     self.transmit(steer_dev, frame, out, queue);
                     return;
                 }
@@ -210,7 +210,7 @@ impl Kernel {
         }
 
         self.coherence(CoherentStruct::Fib, out);
-        out.charge("fib_lookup", self.cost.fib_lookup_kernel_ns);
+        out.charge(Stage::FibLookup, self.cost.fib_lookup_kernel_ns);
         let Some(route) = self.fib.lookup(ip.dst).copied() else {
             self.icmp_error(&frame, l3, &ip, IcmpType::DestUnreachable(0), out, queue);
             self.drop(out, DropReason::NoRoute);
@@ -236,7 +236,7 @@ impl Kernel {
             return;
         }
 
-        out.charge("ip_forward", self.cost.ip_forward_finish_ns);
+        out.charge(Stage::IpForward, self.cost.ip_forward_finish_ns);
         if Ipv4Header::decrement_ttl(&mut frame[l3..]).is_none() {
             self.icmp_error(&frame, l3, &ip, IcmpType::TimeExceeded, out, queue);
             self.drop(out, DropReason::TtlExceeded);
@@ -274,7 +274,7 @@ impl Kernel {
                 // A fresh binding was installed (conntrack-entry-creation
                 // class work).
                 bind_ns = self.cost.conntrack_create_ns;
-                out.charge("nat_bind", bind_ns);
+                out.charge(Stage::NatBind, bind_ns);
             }
             match outcome {
                 PostOutcome::Snat { src, sport } => {
@@ -305,7 +305,7 @@ impl Kernel {
 
         // Neighbor resolution for the next hop.
         self.coherence(CoherentStruct::Neigh, out);
-        out.charge("neigh_lookup", self.cost.neigh_lookup_ns);
+        out.charge(Stage::NeighLookup, self.cost.neigh_lookup_ns);
         let next_hop = match route.scope {
             RouteScope::Link => ip.dst,
             RouteScope::Universe => route.via.unwrap_or(ip.dst),
@@ -333,7 +333,7 @@ impl Kernel {
                     self.drop(out, DropReason::NfPostroutingDrop);
                     return;
                 }
-                out.charge("qdisc_xmit", self.cost.qdisc_xmit_ns);
+                out.charge(Stage::QdiscXmit, self.cost.qdisc_xmit_ns);
                 self.transmit(route.dev, frame, out, queue);
             }
             None => {
@@ -414,7 +414,7 @@ impl Kernel {
         else {
             return;
         };
-        out.charge("icmp_error", self.cost.icmp_error_ns);
+        out.charge(Stage::IcmpError, self.cost.icmp_error_ns);
         // Payload: the offending IP header + first 8 bytes, per RFC 792.
         let quoted_len = (ip.header_len + 8).min(frame.len() - l3);
         let icmp = IcmpHeader::build(kind, 0, 0, &frame[l3..l3 + quoted_len]);
@@ -493,7 +493,7 @@ impl Kernel {
         }
         match device.kind.clone() {
             DeviceKind::Physical => {
-                out.charge("driver_tx", self.cost.driver_tx_ns);
+                out.charge(Stage::DriverTx, self.cost.driver_tx_ns);
                 let c = self.counters.entry(dev).or_default();
                 c.tx_packets += 1;
                 c.tx_bytes += frame.len() as u64;
@@ -526,7 +526,7 @@ impl Kernel {
                             .map(|b| b.flood_ports(IfIndex::NONE, vlan))
                             .unwrap_or_default();
                         for egress in ports {
-                            out.charge("bridge_flood", self.cost.bridge_flood_per_port_ns);
+                            out.charge(Stage::BridgeFlood, self.cost.bridge_flood_per_port_ns);
                             self.transmit(egress, frame.clone(), out, queue);
                         }
                     }
@@ -537,24 +537,31 @@ impl Kernel {
                 local,
                 port: _,
             } => {
-                out.charge("vxlan_encap", self.cost.vxlan_encap_ns);
+                out.charge(Stage::VxlanEncap, self.cost.vxlan_encap_ns);
                 let Ok(eth) = EthernetFrame::parse(&frame) else {
                     self.drop(out, DropReason::MalformedEthernet);
                     return;
                 };
-                let remotes: Vec<Ipv4Addr> = if eth.dst.is_unicast() {
-                    match self.vxlan_fdb.get(&dev).and_then(|m| m.get(&eth.dst)) {
-                        Some(vtep) => vec![*vtep],
-                        None => self.vxlan_defaults.get(&dev).cloned().unwrap_or_default(),
-                    }
+                // A unicast destination's learned VTEP, else every default
+                // remote, read by index: `ip_output` needs `self`.
+                let learned = if eth.dst.is_unicast() {
+                    self.vxlan_fdb
+                        .get(&dev)
+                        .and_then(|m| m.get(&eth.dst))
+                        .copied()
                 } else {
-                    self.vxlan_defaults.get(&dev).cloned().unwrap_or_default()
+                    None
                 };
-                if remotes.is_empty() {
+                let remotes = match learned {
+                    Some(_) => 1,
+                    None => self.vxlan_defaults.get(&dev).map_or(0, Vec::len),
+                };
+                if remotes == 0 {
                     self.drop(out, DropReason::VxlanNoRemoteVtep);
                     return;
                 }
-                for vtep in remotes {
+                for i in 0..remotes {
+                    let vtep = learned.unwrap_or_else(|| self.vxlan_defaults[&dev][i]);
                     let outer = builder::vxlan_encapsulate(
                         &frame,
                         vni,
@@ -580,7 +587,7 @@ impl Kernel {
         queue: &mut VecDeque<(IfIndex, PacketBuf)>,
     ) {
         self.coherence(CoherentStruct::Fib, out);
-        out.charge("fib_lookup", self.cost.fib_lookup_kernel_ns);
+        out.charge(Stage::FibLookup, self.cost.fib_lookup_kernel_ns);
         let Some(route) = self.fib.lookup(next_ip).copied() else {
             self.drop(out, DropReason::NoRouteOutput);
             return;
@@ -590,7 +597,7 @@ impl Kernel {
             RouteScope::Universe => route.via.unwrap_or(next_ip),
         };
         self.coherence(CoherentStruct::Neigh, out);
-        out.charge("neigh_lookup", self.cost.neigh_lookup_ns);
+        out.charge(Stage::NeighLookup, self.cost.neigh_lookup_ns);
         let now = self.now;
         match self.neigh.resolved_mac(next_hop, now) {
             Some((dst_mac, _)) => {
@@ -600,7 +607,7 @@ impl Kernel {
                     .map(|d| d.mac)
                     .unwrap_or(MacAddr::ZERO);
                 EthernetFrame::rewrite_macs(&mut frame, dst_mac, src_mac);
-                out.charge("qdisc_xmit", self.cost.qdisc_xmit_ns);
+                out.charge(Stage::QdiscXmit, self.cost.qdisc_xmit_ns);
                 self.transmit(route.dev, frame, out, queue);
             }
             None => {

@@ -84,7 +84,7 @@ impl Kernel {
         if let Some(t) = &self.telemetry {
             t.slow_local.inc();
         }
-        out.charge("local_deliver", self.cost.local_deliver_ns);
+        out.charge(Stage::LocalDeliver, self.cost.local_deliver_ns);
         let l3 = eth.payload_offset;
         let l4 = l3 + ip.header_len;
 
@@ -94,7 +94,7 @@ impl Kernel {
         if ip.proto == IpProto::Udp {
             if let Ok(udp) = UdpHeader::parse(&frame[l4..]) {
                 if let Some(vxlan_dev) = self.vxlan_device_for(ip.dst, udp.dst_port) {
-                    out.charge("vxlan_decap", self.cost.vxlan_decap_ns);
+                    out.charge(Stage::VxlanDecap, self.cost.vxlan_decap_ns);
                     if let Ok((_vni, inner)) = builder::vxlan_decapsulate(&frame) {
                         // The inner frame appears as if received on the
                         // VXLAN device, which is typically a bridge port.

@@ -21,11 +21,11 @@ enum Amortized {
 impl Amortized {
     const ALL: [Amortized; 3] = [Amortized::DriverRx, Amortized::XdpEntry, Amortized::TcEntry];
 
-    fn stage(self) -> &'static str {
+    fn stage(self) -> Stage {
         match self {
-            Amortized::DriverRx => "driver_rx",
-            Amortized::XdpEntry => "xdp_entry",
-            Amortized::TcEntry => "tc_entry",
+            Amortized::DriverRx => Stage::DriverRx,
+            Amortized::XdpEntry => Stage::XdpEntry,
+            Amortized::TcEntry => Stage::TcEntry,
         }
     }
 
@@ -318,7 +318,7 @@ impl Kernel {
             DeviceKind::Physical => {
                 self.charge_amortized(out, burst.as_mut(), Amortized::DriverRx);
             }
-            DeviceKind::Veth { .. } => out.charge("veth_cross", self.cost.veth_cross_ns),
+            DeviceKind::Veth { .. } => out.charge(Stage::VethCross, self.cost.veth_cross_ns),
             DeviceKind::Bridge | DeviceKind::Vxlan { .. } => {}
         }
         {
@@ -368,7 +368,7 @@ impl Kernel {
         }
 
         // sk_buff allocation: the cost XDP avoids.
-        out.charge("skb_alloc", self.cost.skb_alloc_ns);
+        out.charge(Stage::SkbAlloc, self.cost.skb_alloc_ns);
 
         // TC ingress hook.
         let read;
@@ -424,7 +424,7 @@ impl Kernel {
         // stack: deliver anything addressed to them (or broadcast).
         if endpoint {
             if eth.dst == dev_mac || eth.dst.is_multicast() {
-                out.charge("local_deliver", self.cost.local_deliver_ns);
+                out.charge(Stage::LocalDeliver, self.cost.local_deliver_ns);
                 out.effects.push(Effect::Deliver { dev, frame });
             } else {
                 self.drop(out, DropReason::WrongDestinationMac);
@@ -456,7 +456,7 @@ impl Kernel {
         out: &mut RxOutcome,
         queue: &mut VecDeque<(IfIndex, PacketBuf)>,
     ) {
-        out.charge("bridge_stack", self.cost.bridge_stack_ns);
+        out.charge(Stage::BridgeStack, self.cost.bridge_stack_ns);
         if let Some(t) = &self.telemetry {
             t.slow_bridge.inc();
         }
@@ -502,7 +502,7 @@ impl Kernel {
                 let meta = self.packet_meta(port, &frame, eth.payload_offset, &ip);
                 if self.conntrack_forward {
                     self.coherence(CoherentStruct::Conntrack, out);
-                    out.charge("conntrack", self.cost.conntrack_lookup_ns);
+                    out.charge(Stage::Conntrack, self.cost.conntrack_lookup_ns);
                     let now = self.now;
                     self.conntrack
                         .track(ip.src, meta.sport, ip.dst, meta.dport, ip.proto, now);
@@ -533,7 +533,7 @@ impl Kernel {
             BridgeDecision::Flood(ports) => {
                 for (i, egress) in ports.iter().enumerate() {
                     if i > 0 {
-                        out.charge("bridge_flood", self.cost.bridge_flood_per_port_ns);
+                        out.charge(Stage::BridgeFlood, self.cost.bridge_flood_per_port_ns);
                     }
                     self.transmit(*egress, frame.clone(), out, queue);
                 }

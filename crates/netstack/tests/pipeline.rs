@@ -584,6 +584,38 @@ fn vxlan_encapsulates_toward_remote_vtep() {
     assert_eq!(vni, 1);
     assert_eq!(got, inner);
     assert_eq!(out.cost.stage_count("vxlan_encap"), 1);
+
+    // A broadcast, or a unicast MAC with no learned VTEP, floods one copy
+    // to each default remote, in the order they were added.
+    let defaults = [Ipv4Addr::new(192, 168, 0, 3), Ipv4Addr::new(192, 168, 0, 4)];
+    for (i, vtep) in defaults.into_iter().enumerate() {
+        k.vxlan_add_default_remote(vx, vtep).unwrap();
+        k.neigh
+            .learn(vtep, MacAddr::from_index(0x9a + i as u64), eth0, now);
+    }
+    for dst in [MacAddr::BROADCAST, MacAddr::from_index(0x33)] {
+        let flooded = builder::udp_packet(
+            MacAddr::from_index(0x11),
+            dst,
+            Ipv4Addr::new(10, 244, 1, 2),
+            Ipv4Addr::new(10, 244, 2, 2),
+            1,
+            2,
+            b"pod",
+        );
+        let out = k.transmit_frame(vx, flooded.clone());
+        let outer_dsts: Vec<Ipv4Addr> = out
+            .transmissions()
+            .iter()
+            .map(|(_, frame)| Ipv4Header::parse(&frame[14..]).unwrap().dst)
+            .collect();
+        assert_eq!(outer_dsts, defaults, "{dst:?}");
+        for (_, frame) in out.transmissions() {
+            assert_eq!(builder::vxlan_decapsulate(frame).unwrap().1, flooded);
+        }
+    }
+    // A learned VTEP still wins over the defaults.
+    assert_eq!(k.transmit_frame(vx, inner).transmissions().len(), 1);
 }
 
 #[test]

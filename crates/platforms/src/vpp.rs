@@ -17,7 +17,7 @@ use linuxfp_netstack::stack::{BatchOutcome, DropReason, Effect, RxOutcome};
 use linuxfp_packet::ipv4::Prefix;
 use linuxfp_packet::{Batch, PacketBuf};
 use linuxfp_packet::{EthernetFrame, Ipv4Header, MacAddr};
-use linuxfp_sim::CostModel;
+use linuxfp_sim::{CostModel, Stage};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -100,7 +100,7 @@ impl VppPlatform {
     /// MAC rewrite. Per-packet costs only — vector-fixed cost is charged
     /// by the caller.
     fn forward_one(&mut self, mut frame: PacketBuf, out: &mut RxOutcome) {
-        out.cost.charge("vpp_node", self.cost.vpp_per_packet_ns);
+        out.cost.charge(Stage::VppNode, self.cost.vpp_per_packet_ns);
 
         let Ok(eth) = EthernetFrame::parse(&frame) else {
             out.effects.push(Effect::Drop {
@@ -122,7 +122,7 @@ impl VppPlatform {
             return;
         };
         if self.acl_rules > 0 {
-            out.cost.charge("vpp_acl", self.cost.vpp_acl_ns);
+            out.cost.charge(Stage::VppAcl, self.cost.vpp_acl_ns);
             if self.acl_denies(ip.dst) {
                 out.effects.push(Effect::Drop {
                     reason: DropReason::VppAclDeny,
@@ -171,7 +171,7 @@ impl Platform for VppPlatform {
         // spread over a full 256-packet vector (see
         // `amortized_vector_ns`), charged for the burst as a whole.
         out.batch_cost.charge(
-            "vpp_vector",
+            Stage::VppVector,
             self.amortized_vector_ns() * out.batch_size as f64,
         );
         let bufs: Vec<PacketBuf> = batch.drain().collect();
@@ -185,7 +185,8 @@ impl Platform for VppPlatform {
 
     fn process(&mut self, frame: Vec<u8>) -> RxOutcome {
         let mut out = RxOutcome::default();
-        out.cost.charge("vpp_vector", self.amortized_vector_ns());
+        out.cost
+            .charge(Stage::VppVector, self.amortized_vector_ns());
         self.forward_one(frame.into(), &mut out);
         out
     }

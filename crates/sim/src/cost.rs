@@ -40,6 +40,7 @@
 //! hard-coded answer. There is one per-instruction price: the reference
 //! interpreter, kept only as a test oracle, charges it too.
 
+use crate::Stage;
 use std::fmt;
 
 /// Calibrated nanosecond prices for every simulated operation.
@@ -373,11 +374,11 @@ impl Default for CostModel {
 }
 
 /// Accumulates virtual time charged while processing packets, optionally
-/// attributing it to named stages.
+/// attributing it to [`Stage`]s.
 ///
 /// The per-stage attribution is what powers the flame-graph-style profile
 /// of the slow path (paper Fig. 1): each kernel stage charges under its own
-/// label, and the profile reports where the time went.
+/// [`Stage`], and the profile reports where the time went.
 ///
 /// Sums are integer femtoseconds in a `u64`. Each charged price is
 /// converted once, rounded to the nearest femtosecond (10⁻⁶ ns), so sums
@@ -387,34 +388,39 @@ impl Default for CostModel {
 /// holds 2⁶⁴ fs ≈ 5.1 h of virtual time — the largest in the tree is one
 /// controller reaction, ≈ 1.05 s — and panics rather than wrap past it.
 ///
-/// The first 12 distinct stages live inline, so a routed or filtered
-/// packet's tracker — a cache hit charges four or five stages, the slow
-/// path about ten — never touches the heap; later stages spill to a `Vec`
-/// (a pod-to-pod hop through a bridge, VXLAN and two TC hooks charges 14).
+/// A byte per [`Stage`] maps the stage to its slot, so a charge is one
+/// byte load and two adds. Slots are handed out in first-charge order;
+/// the first 12 live inline, so a routed or filtered packet's tracker —
+/// a cache hit charges four or five stages, the slow path about ten, a
+/// pod-to-pod hop nine on the sending node and ten on the receiving
+/// one — never touches the heap. Later stages spill to a `Vec`.
 ///
 /// # Example
 ///
 /// ```
-/// use linuxfp_sim::CostTracker;
+/// use linuxfp_sim::{CostTracker, Stage};
 ///
 /// let mut t = CostTracker::new();
-/// t.charge("ip_rcv", 45.0);
-/// t.charge("fib_lookup", 60.0);
-/// t.charge("ip_rcv", 45.0);
+/// t.charge(Stage::IpRcv, 45.0);
+/// t.charge(Stage::FibLookup, 60.0);
+/// t.charge(Stage::IpRcv, 45.0);
 /// assert_eq!(t.total_ns(), 150.0);
-/// assert_eq!(t.stage_ns("ip_rcv"), 90.0);
+/// assert_eq!(t.stage_ns(Stage::IpRcv), 90.0);
 /// assert_eq!(t.stage_count("ip_rcv"), 2);
 /// ```
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct CostTracker {
     total_fs: u64,
-    /// Slots in use at the front of `inline`.
-    inline_len: usize,
-    /// The first distinct stages, in first-charge order.
-    inline: [(&'static str, Slot); INLINE_STAGES],
-    /// The stages past the inline ones, in first-charge order; empty
+    /// Each stage's position in the slots (inline, then spilled) plus
+    /// one; zero while the stage is uncharged.
+    slot_of: [u8; Stage::COUNT],
+    /// Slots in use.
+    len: u8,
+    /// The first distinct stages' slots, in first-charge order.
+    inline: [Slot; INLINE_STAGES],
+    /// The slots past the inline ones, in first-charge order; empty
     /// until `inline` is full.
-    spill: Vec<(&'static str, Slot)>,
+    spill: Vec<Slot>,
 }
 
 /// Distinct stages a [`CostTracker`] holds without allocating.
@@ -441,6 +447,7 @@ const OVERFLOW: &str = "CostTracker holds at most 2^64 fs (5.1 h) of virtual tim
 
 /// A price in femtoseconds, to nearest. `+ 0.5` then truncate, not
 /// `round()`: a libcall per charge shows on the cache-hit path.
+#[inline]
 fn to_fs(ns: f64) -> u64 {
     debug_assert!(ns >= 0.0 && ns.is_finite(), "charged {ns} ns");
     (ns * FS_PER_NS + 0.5) as u64
@@ -450,70 +457,74 @@ fn to_ns(fs: u64) -> f64 {
     fs as f64 / FS_PER_NS
 }
 
+impl Default for CostTracker {
+    fn default() -> Self {
+        CostTracker {
+            total_fs: 0,
+            slot_of: [0; Stage::COUNT],
+            len: 0,
+            inline: [Slot::default(); INLINE_STAGES],
+            spill: Vec::new(),
+        }
+    }
+}
+
 impl CostTracker {
     /// Creates an empty tracker.
     pub fn new() -> Self {
         CostTracker::default()
     }
 
-    /// Every slot in use, inline ones first, in first-charge order.
-    fn slots(&self) -> impl Iterator<Item = &(&'static str, Slot)> {
-        self.inline[..self.inline_len].iter().chain(&self.spill)
-    }
-
-    /// The position in [`slots`](Self::slots) of the first name `matches`
-    /// accepts.
-    fn position(&self, matches: impl Fn(&'static str) -> bool) -> Option<usize> {
-        self.slots().position(|(name, _)| matches(name))
-    }
-
-    /// The slot accumulating `stage`, created on its first charge.
-    ///
-    /// A cache hit still makes about five charges per packet, and a repeat
-    /// charge passes the very same literal, so a slot is found by the
-    /// name's address and length without reading its bytes. Equal names
-    /// at different addresses (one literal in two crates) still share a
-    /// slot: contents are compared when no address matches.
-    fn slot(&mut self, stage: &'static str) -> &mut Slot {
-        let found = self
-            .position(|name| std::ptr::eq(name, stage))
-            .or_else(|| self.position(|name| name == stage));
-        let i = found.unwrap_or_else(|| {
-            if self.inline_len < INLINE_STAGES {
-                self.inline[self.inline_len] = (stage, Slot::default());
-                self.inline_len += 1;
-            } else {
-                self.spill.push((stage, Slot::default()));
-            }
-            self.inline_len + self.spill.len() - 1
-        });
-        match i.checked_sub(self.inline_len) {
-            None => &mut self.inline[i].1,
-            Some(spilled) => &mut self.spill[spilled].1,
+    /// `stage`'s slot, if it was ever charged.
+    fn slot(&self, stage: Stage) -> Option<&Slot> {
+        match usize::from(self.slot_of[stage as usize]) {
+            0 => None,
+            i if i <= INLINE_STAGES => Some(&self.inline[i - 1]),
+            i => Some(&self.spill[i - 1 - INLINE_STAGES]),
         }
     }
 
-    fn find(&self, stage: &str) -> Option<&Slot> {
-        self.slots()
-            .find(|(name, _)| *name == stage)
-            .map(|(_, slot)| slot)
-    }
-
-    /// Advances the total — the one addition that can overflow, since no
-    /// stage's sum ever exceeds it.
-    fn add_total(&mut self, fs: u64) {
-        self.total_fs = self.total_fs.checked_add(fs).expect(OVERFLOW);
-    }
-
-    /// Adds `count` charges worth `fs` in all to `stage`'s slot.
-    fn add_stage(&mut self, stage: &'static str, count: u64, fs: u64) {
-        let slot = self.slot(stage);
+    /// Adds `count` charges worth `fs` in all to `stage`'s slot, which
+    /// its first charge creates.
+    #[inline]
+    fn add_stage(&mut self, stage: Stage, count: u64, fs: u64) {
+        let i = match self.slot_of[stage as usize] {
+            0 => self.new_slot(stage),
+            i => usize::from(i),
+        };
+        let slot = match i.checked_sub(INLINE_STAGES + 1) {
+            None => &mut self.inline[i - 1],
+            Some(spilled) => &mut self.spill[spilled],
+        };
         slot.count += count;
         slot.fs += fs;
     }
 
-    /// Charges `ns` nanoseconds to `stage`.
-    pub fn charge(&mut self, stage: &'static str, ns: f64) {
+    /// Hands `stage` the next free slot, zeroed; returns its position
+    /// plus one.
+    #[inline]
+    fn new_slot(&mut self, stage: Stage) -> usize {
+        if usize::from(self.len) < INLINE_STAGES {
+            self.inline[usize::from(self.len)] = Slot::default();
+        } else {
+            self.spill.push(Slot::default());
+        }
+        self.len += 1;
+        self.slot_of[stage as usize] = self.len;
+        usize::from(self.len)
+    }
+
+    /// Advances the total — the one addition that can overflow, since no
+    /// stage's sum ever exceeds it.
+    #[inline]
+    fn add_total(&mut self, fs: u64) {
+        self.total_fs = self.total_fs.checked_add(fs).expect(OVERFLOW);
+    }
+
+    /// Charges `ns` nanoseconds to `stage`. A name resolves through
+    /// [`Stage::from_name`]; the datapath passes [`Stage`]s.
+    #[inline]
+    pub fn charge(&mut self, stage: impl Into<Stage>, ns: f64) {
         self.charge_n(stage, ns, 1);
     }
 
@@ -521,11 +532,12 @@ impl CostTracker {
     /// that counts its work charges once at its exit. Identical, count
     /// included, to `n` calls of [`charge`](Self::charge); nothing at all
     /// when `n` is zero.
-    pub fn charge_n(&mut self, stage: &'static str, ns: f64, n: u64) {
+    #[inline]
+    pub fn charge_n(&mut self, stage: impl Into<Stage>, ns: f64, n: u64) {
         if n > 0 {
             let fs = to_fs(ns).checked_mul(n).expect(OVERFLOW);
             self.add_total(fs);
-            self.add_stage(stage, n, fs);
+            self.add_stage(stage.into(), n, fs);
         }
     }
 
@@ -549,40 +561,39 @@ impl CostTracker {
     }
 
     /// Nanoseconds charged to `stage` (zero if never charged).
-    pub fn stage_ns(&self, stage: &str) -> f64 {
-        self.find(stage).map_or(0.0, |s| to_ns(s.fs))
+    pub fn stage_ns(&self, stage: impl Into<Stage>) -> f64 {
+        self.slot(stage.into()).map_or(0.0, |s| to_ns(s.fs))
     }
 
     /// Number of charges recorded for `stage`.
-    pub fn stage_count(&self, stage: &str) -> u64 {
-        self.find(stage).map_or(0, |s| s.count)
+    pub fn stage_count(&self, stage: impl Into<Stage>) -> u64 {
+        self.slot(stage.into()).map_or(0, |s| s.count)
     }
 
-    /// Iterates over `(stage, aggregated cost)` in stage-name order.
+    /// Iterates over `(stage name, aggregated cost)` in name order.
     pub fn stages(&self) -> impl Iterator<Item = (&'static str, StageCost)> + '_ {
-        let mut sorted: Vec<_> = self
-            .slots()
-            .map(|&(name, Slot { count, fs })| {
-                let total_ns = to_ns(fs);
-                (name, StageCost { count, total_ns })
-            })
-            .collect();
-        sorted.sort_unstable_by_key(|(name, _)| *name);
-        sorted.into_iter()
+        Stage::ALL.into_iter().filter_map(|stage| {
+            let &Slot { count, fs } = self.slot(stage)?;
+            let total_ns = to_ns(fs);
+            Some((stage.name(), StageCost { count, total_ns }))
+        })
     }
 
     /// Resets all accumulated costs.
     pub fn reset(&mut self) {
         self.total_fs = 0;
-        self.inline_len = 0;
+        self.slot_of = [0; Stage::COUNT];
+        self.len = 0;
         self.spill.clear();
     }
 
     /// Merges another tracker's charges into this one.
     pub fn merge(&mut self, other: &CostTracker) {
         self.add_total(other.total_fs);
-        for &(stage, Slot { count, fs }) in other.slots() {
-            self.add_stage(stage, count, fs);
+        for stage in Stage::ALL {
+            if let Some(&Slot { count, fs }) = other.slot(stage) {
+                self.add_stage(stage, count, fs);
+            }
         }
     }
 }
@@ -591,7 +602,7 @@ impl fmt::Debug for CostTracker {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CostTracker")
             .field("total_fs", &self.total_fs)
-            .field("stages", &self.slots().collect::<Vec<_>>())
+            .field("stages", &self.stages().collect::<Vec<_>>())
             .finish()
     }
 }
@@ -661,49 +672,124 @@ mod tests {
     #[test]
     fn tracker_accumulates_and_merges() {
         let mut a = CostTracker::new();
-        a.charge("x", 10.0);
+        a.charge(Stage::IpRcv, 10.0);
         a.charge_untracked(5.0);
         let mut b = CostTracker::new();
-        b.charge("x", 1.0);
-        b.charge("y", 2.0);
+        b.charge(Stage::IpRcv, 1.0);
+        b.charge(Stage::FibLookup, 2.0);
         a.merge(&b);
         assert_eq!(a.total_ns(), 18.0);
-        assert_eq!(a.stage_ns("x"), 11.0);
-        assert_eq!(a.stage_count("x"), 2);
-        assert_eq!(a.stage_ns("y"), 2.0);
-        assert_eq!(a.stage_ns("absent"), 0.0);
+        assert_eq!(a.stage_ns(Stage::IpRcv), 11.0);
+        assert_eq!(a.stage_count("ip_rcv"), 2);
+        assert_eq!(a.stage_ns("fib_lookup"), 2.0);
+        assert_eq!(a.stage_ns(Stage::SkbAlloc), 0.0);
         a.reset();
         assert_eq!(a.total_ns(), 0.0);
+        assert_eq!(a.stage_count(Stage::IpRcv), 0);
     }
 
-    /// The pre-`Vec` tracker, kept as the integer-sum reference: the same
-    /// femtosecond sums over a name-ordered map.
+    #[test]
+    fn stages_round_trip_by_name() {
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(stage as usize, i);
+            assert_eq!(Stage::from_name(stage.name()), stage);
+            assert_eq!(Stage::from(stage.name()), stage);
+        }
+        for unknown in ["", "a", "ebpf_insn", "other_", "zzz", "IP_RCV", "ip_rcv "] {
+            assert_eq!(Stage::from_name(unknown), Stage::Other, "{unknown:?}");
+        }
+    }
+
+    #[test]
+    fn an_unknown_name_charges_other() {
+        let mut t = CostTracker::new();
+        t.charge("ebpf_insn", 1.0);
+        t.charge_n("no_such_stage", 2.0, 3);
+        assert_eq!(t.stage_count(Stage::Other), 4);
+        assert_eq!(t.stage_ns("other"), 7.0);
+        assert_eq!(
+            t.stages().map(|(name, _)| name).collect::<Vec<_>>(),
+            ["other"]
+        );
+    }
+
+    #[test]
+    fn the_tracker_does_not_grow() {
+        // The name-keyed tracker it replaces was 424 B; a burst builds
+        // one per frame.
+        assert!(std::mem::size_of::<CostTracker>() <= 424);
+    }
+
+    /// The name-keyed tracker the `Stage`-indexed one replaced, kept as
+    /// its reference: slots in first-charge order, found by the name's
+    /// address and then its contents, 12 inline and the rest spilled,
+    /// read back sorted by name.
     #[derive(Default)]
-    struct MapTracker {
+    struct NameKeyed {
         total_fs: u64,
-        stages: std::collections::BTreeMap<&'static str, Slot>,
+        inline_len: usize,
+        inline: [(&'static str, Slot); INLINE_STAGES],
+        spill: Vec<(&'static str, Slot)>,
     }
 
-    impl MapTracker {
-        fn charge(&mut self, stage: &'static str, ns: f64) {
-            self.total_fs += to_fs(ns);
-            let entry = self.stages.entry(stage).or_default();
-            entry.count += 1;
-            entry.fs += to_fs(ns);
+    impl NameKeyed {
+        fn slots(&self) -> impl Iterator<Item = &(&'static str, Slot)> {
+            self.inline[..self.inline_len].iter().chain(&self.spill)
         }
 
-        fn merge(&mut self, other: &MapTracker) {
-            self.total_fs += other.total_fs;
-            for (stage, slot) in &other.stages {
-                let entry = self.stages.entry(stage).or_default();
-                entry.count += slot.count;
-                entry.fs += slot.fs;
+        fn position(&self, matches: impl Fn(&'static str) -> bool) -> Option<usize> {
+            self.slots().position(|(name, _)| matches(name))
+        }
+
+        fn slot(&mut self, stage: &'static str) -> &mut Slot {
+            let found = self
+                .position(|name| std::ptr::eq(name, stage))
+                .or_else(|| self.position(|name| name == stage));
+            let i = found.unwrap_or_else(|| {
+                if self.inline_len < INLINE_STAGES {
+                    self.inline[self.inline_len] = (stage, Slot::default());
+                    self.inline_len += 1;
+                } else {
+                    self.spill.push((stage, Slot::default()));
+                }
+                self.inline_len + self.spill.len() - 1
+            });
+            match i.checked_sub(self.inline_len) {
+                None => &mut self.inline[i].1,
+                Some(spilled) => &mut self.spill[spilled].1,
             }
+        }
+
+        fn add_stage(&mut self, stage: &'static str, count: u64, fs: u64) {
+            let slot = self.slot(stage);
+            slot.count += count;
+            slot.fs += fs;
+        }
+
+        fn charge_n(&mut self, stage: &'static str, ns: f64, n: u64) {
+            if n > 0 {
+                let fs = to_fs(ns) * n;
+                self.total_fs += fs;
+                self.add_stage(stage, n, fs);
+            }
+        }
+
+        fn merge(&mut self, other: &NameKeyed) {
+            self.total_fs += other.total_fs;
+            for &(stage, Slot { count, fs }) in other.slots() {
+                self.add_stage(stage, count, fs);
+            }
+        }
+
+        fn stages(&self) -> Vec<(&'static str, Slot)> {
+            let mut sorted: Vec<_> = self.slots().copied().collect();
+            sorted.sort_unstable_by_key(|(name, _)| *name);
+            sorted
         }
 
         fn display(&self) -> String {
             let mut out = format!("total: {:.1} ns\n", to_ns(self.total_fs));
-            for (stage, slot) in &self.stages {
+            for (stage, slot) in self.stages() {
                 out += &format!(
                     "  {:<28} {:>10.1} ns  (x{})\n",
                     stage,
@@ -715,58 +801,30 @@ mod tests {
         }
     }
 
-    fn assert_same(tracker: &CostTracker, oracle: &MapTracker) {
+    fn assert_same(tracker: &CostTracker, oracle: &NameKeyed) {
         assert_eq!(tracker.total_fs, oracle.total_fs);
         assert_eq!(
             tracker.total_ns().to_bits(),
             to_ns(oracle.total_fs).to_bits()
         );
         let got: Vec<_> = tracker.stages().collect();
-        assert_eq!(got.len(), oracle.stages.len());
-        for ((gs, gc), (ws, wc)) in got.iter().zip(&oracle.stages) {
+        let want = oracle.stages();
+        assert_eq!(got.len(), want.len());
+        for ((gs, gc), (ws, wc)) in got.iter().zip(&want) {
             // Name order, and the same integer sums.
             assert_eq!(gs, ws);
             assert_eq!(gc.count, wc.count);
             assert_eq!(gc.total_ns.to_bits(), to_ns(wc.fs).to_bits());
-            assert_eq!(tracker.stage_ns(gs).to_bits(), to_ns(wc.fs).to_bits());
-            assert_eq!(tracker.stage_count(gs), wc.count);
+            assert_eq!(tracker.stage_ns(*gs).to_bits(), to_ns(wc.fs).to_bits());
+            assert_eq!(tracker.stage_count(*gs), wc.count);
         }
         assert_eq!(tracker.to_string(), oracle.display());
     }
 
-    /// More names than the inline slots, so a tracker charged with them
-    /// all spills; "ebpf_insn" twice: the literal, and an equal name at
-    /// another address, as the same literal in two crates would be.
-    fn stage_names() -> [&'static str; 19] {
-        let twin: &'static str = Box::leak(String::from("ebpf_insn").into_boxed_str());
-        assert!(!std::ptr::eq(twin, "ebpf_insn"));
-        [
-            "ebpf_insn",
-            twin,
-            "jit_insn",
-            "helper_fib_lookup",
-            "skb_alloc",
-            "driver_rx",
-            "driver_tx",
-            "xdp_entry",
-            "tc_entry",
-            "ip_rcv",
-            "nf_hook",
-            "qdisc_xmit",
-            "veth_cross",
-            "vxlan_encap",
-            "vxlan_decap",
-            "neigh_lookup",
-            "fib_lookup",
-            "a",
-            "",
-        ]
-    }
-
-    /// Seed `seed`'s share of `names`: 4 to all 19, so some trackers stay
-    /// inline and others spill.
-    fn name_pool<'a>(names: &'a [&'static str], seed: u64) -> &'a [&'static str] {
-        &names[..4 + seed as usize % (names.len() - 3)]
+    /// Seed `seed`'s share of the catalogue: 4 to all of it, so some
+    /// trackers stay inline and others spill.
+    fn stage_pool(seed: u64) -> &'static [Stage] {
+        &Stage::ALL[..4 + seed as usize % (Stage::COUNT - 3)]
     }
 
     /// Which sides of the inline boundary a test's operations reached.
@@ -776,16 +834,13 @@ mod tests {
         spilled_into_inline: bool,
         /// A tracker that had spilled was reset.
         reset_after_spill: bool,
-        /// A charge found the slot an equal name at another address owns,
-        /// inline (`[0]`) or spilled (`[1]`).
-        twin: [bool; 2],
+        /// A spilled stage was charged again.
+        spilled_recharged: bool,
     }
 
     impl Crossings {
-        fn note_charge(&mut self, tracker: &CostTracker, stage: &'static str) {
-            if let Some(i) = tracker.position(|name| name == stage && !std::ptr::eq(name, stage)) {
-                self.twin[usize::from(i >= INLINE_STAGES)] = true;
-            }
+        fn note_charge(&mut self, tracker: &CostTracker, stage: Stage) {
+            self.spilled_recharged |= usize::from(tracker.slot_of[stage as usize]) > INLINE_STAGES;
         }
 
         fn note_merge(&mut self, into: &CostTracker, from: &CostTracker) {
@@ -794,21 +849,20 @@ mod tests {
 
         fn assert_all(&self) {
             assert!(
-                self.spilled_into_inline && self.reset_after_spill && self.twin == [true; 2],
+                self.spilled_into_inline && self.reset_after_spill && self.spilled_recharged,
                 "{self:?}"
             );
         }
     }
 
     #[test]
-    fn tracker_matches_the_btreemap_oracle() {
-        let names = stage_names();
+    fn tracker_matches_the_name_keyed_oracle() {
         let mut crossed = Crossings::default();
-        for seed in 0..32 {
+        for seed in 0..48 {
             let mut rng = crate::SimRng::seed(seed);
-            let pool = name_pool(&names, seed);
-            let (mut tracker, mut oracle) = (CostTracker::new(), MapTracker::default());
-            let (mut side, mut side_oracle) = (CostTracker::new(), MapTracker::default());
+            let pool = stage_pool(seed);
+            let (mut tracker, mut oracle) = (CostTracker::new(), NameKeyed::default());
+            let (mut side, mut side_oracle) = (CostTracker::new(), NameKeyed::default());
             for _ in 0..3000 {
                 // Prices that are not whole femtoseconds, so rounding is
                 // exercised on every charge.
@@ -818,28 +872,34 @@ mod tests {
                     0..=4 => {
                         crossed.reset_after_spill |= !tracker.spill.is_empty();
                         tracker.reset();
-                        oracle = MapTracker::default();
+                        oracle = NameKeyed::default();
                     }
                     5..=24 => {
                         crossed.note_merge(&tracker, &side);
                         tracker.merge(&side);
                         oracle.merge(&side_oracle);
                         side.reset();
-                        side_oracle = MapTracker::default();
+                        side_oracle = NameKeyed::default();
                     }
                     25..=44 => {
                         tracker.charge_untracked(ns);
                         oracle.total_fs += to_fs(ns);
                     }
-                    45..=399 => {
+                    45..=99 => {
+                        let n = rng.uniform_u64(50);
+                        crossed.note_charge(&tracker, stage);
+                        tracker.charge_n(stage, ns, n);
+                        oracle.charge_n(stage.name(), ns, n);
+                    }
+                    100..=399 => {
                         crossed.note_charge(&side, stage);
                         side.charge(stage, ns);
-                        side_oracle.charge(stage, ns);
+                        side_oracle.charge_n(stage.name(), ns, 1);
                     }
                     _ => {
                         crossed.note_charge(&tracker, stage);
                         tracker.charge(stage, ns);
-                        oracle.charge(stage, ns);
+                        oracle.charge_n(stage.name(), ns, 1);
                     }
                 }
                 assert_same(&tracker, &oracle);
@@ -856,7 +916,7 @@ mod tests {
             let prices: Vec<f64> = (0..len).map(|_| rng.uniform_f64() * 300.0 + 0.1).collect();
             let mut tracker = CostTracker::new();
             for &ns in &prices {
-                tracker.charge("fixed", ns);
+                tracker.charge(Stage::DriverRx, ns);
             }
             assert_eq!(
                 CostTracker::total_of(prices).to_bits(),
@@ -867,8 +927,8 @@ mod tests {
 
     #[derive(Clone)]
     enum Op {
-        Charge(&'static str, f64),
-        ChargeN(&'static str, f64, u64),
+        Charge(Stage, f64),
+        ChargeN(Stage, f64, u64),
         Untracked(f64),
         Merge(Box<CostTracker>),
     }
@@ -876,17 +936,17 @@ mod tests {
     fn apply(ops: &[Op], crossed: &mut Crossings) -> CostTracker {
         let mut t = CostTracker::new();
         for op in ops {
-            match op {
+            match *op {
                 Op::Charge(stage, ns) => {
                     crossed.note_charge(&t, stage);
-                    t.charge(stage, *ns);
+                    t.charge(stage, ns);
                 }
                 Op::ChargeN(stage, ns, n) => {
                     crossed.note_charge(&t, stage);
-                    t.charge_n(stage, *ns, *n);
+                    t.charge_n(stage, ns, n);
                 }
-                Op::Untracked(ns) => t.charge_untracked(*ns),
-                Op::Merge(other) => {
+                Op::Untracked(ns) => t.charge_untracked(ns),
+                Op::Merge(ref other) => {
                     crossed.note_merge(&t, other);
                     t.merge(other);
                 }
@@ -897,11 +957,10 @@ mod tests {
 
     #[test]
     fn any_order_of_the_same_charges_reads_back_bit_identical() {
-        let names = stage_names();
         let mut crossed = Crossings::default();
         for seed in 0..32 {
             let mut rng = crate::SimRng::seed(seed);
-            let pool = name_pool(&names, seed);
+            let pool = stage_pool(seed);
             let price = |rng: &mut crate::SimRng| rng.uniform_f64() * 300.0 + 0.1;
             let mut ops = Vec::new();
             for _ in 0..400 {
@@ -954,22 +1013,22 @@ mod tests {
     #[test]
     fn trackers_differ_on_any_count_or_sum() {
         let mut a = CostTracker::new();
-        a.charge_n("jit_insn", 1.0, 3);
+        a.charge_n(Stage::JitInsn, 1.0, 3);
         let mut b = CostTracker::new();
-        b.charge_n("tail_call", 1.0, 3);
+        b.charge_n(Stage::TailCall, 1.0, 3);
         assert_ne!(a, b, "same total, another stage");
         let mut c = CostTracker::new();
-        c.charge("jit_insn", 3.0);
+        c.charge(Stage::JitInsn, 3.0);
         assert_ne!(a, c, "same sum, another count");
         c.reset();
-        c.charge_n("jit_insn", 1.0, 3);
+        c.charge_n(Stage::JitInsn, 1.0, 3);
         assert_eq!(a, c);
     }
 
     #[test]
     fn charge_n_of_zero_creates_no_stage() {
         let mut t = CostTracker::new();
-        t.charge_n("nf_rule_match", 22.0, 0);
+        t.charge_n(Stage::NfRuleMatch, 22.0, 0);
         assert_eq!(t.stages().count(), 0);
         assert_eq!(t.total_ns(), 0.0);
     }
@@ -979,16 +1038,16 @@ mod tests {
     fn overflow_panics_instead_of_wrapping() {
         // 2 × 10 000 s of virtual time: each half fits, the sum does not.
         let mut t = CostTracker::new();
-        t.charge_n("compile", 1e9, 10_000);
-        t.charge_n("compile", 1e9, 10_000);
+        t.charge_n(Stage::Other, 1e9, 10_000);
+        t.charge_n(Stage::Other, 1e9, 10_000);
     }
 
     #[test]
     fn tracker_display_lists_stages() {
         let mut t = CostTracker::new();
-        t.charge("fib", 60.0);
+        t.charge(Stage::FibLookup, 60.0);
         let s = t.to_string();
-        assert!(s.contains("fib"));
+        assert!(s.contains("fib_lookup"));
         assert!(s.contains("total"));
     }
 }

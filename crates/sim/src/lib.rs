@@ -32,6 +32,7 @@ pub mod cost;
 pub mod events;
 pub mod rate;
 pub mod rng;
+pub mod stage;
 pub mod stats;
 pub mod time;
 
@@ -39,5 +40,6 @@ pub use cores::CoreModel;
 pub use cost::{CostModel, CostTracker};
 pub use events::EventQueue;
 pub use rng::SimRng;
+pub use stage::Stage;
 pub use stats::Summary;
 pub use time::Nanos;

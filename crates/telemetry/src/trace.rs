@@ -1080,11 +1080,12 @@ impl CostBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use linuxfp_sim::Stage;
 
     fn span_with(total: f64, regime_events: Vec<TraceEvent>) -> TraceSpan {
         let mut cost = CostTracker::new();
-        cost.charge("a", total / 2.0);
-        cost.charge("b", total / 2.0);
+        cost.charge(Stage::DriverRx, total / 2.0);
+        cost.charge(Stage::DriverTx, total / 2.0);
         let mut ctx = TraceCtx::begin(0, 1, 0);
         for e in regime_events {
             ctx.event(|| e.clone());
@@ -1121,9 +1122,9 @@ mod tests {
     #[test]
     fn finish_folds_tracker_and_conserves_total() {
         let mut cost = CostTracker::new();
-        cost.charge("driver_rx", 124.0);
-        cost.charge("fib_lookup", 175.0);
-        cost.charge("fib_lookup", 175.0);
+        cost.charge(Stage::DriverRx, 124.0);
+        cost.charge(Stage::FibLookup, 175.0);
+        cost.charge(Stage::FibLookup, 175.0);
         let ctx = TraceCtx::begin(7, 2, 1000);
         let span = ctx.finish(&cost, Disposition::Transmitted);
         assert_eq!(span.seq, 7);
@@ -1141,7 +1142,7 @@ mod tests {
     #[test]
     fn untracked_residual_is_attributed_explicitly() {
         let mut cost = CostTracker::new();
-        cost.charge("driver_rx", 100.0);
+        cost.charge(Stage::DriverRx, 100.0);
         cost.charge_untracked(50.0);
         let span = TraceCtx::begin(0, 1, 0).finish(&cost, Disposition::Transmitted);
         assert!((span.attributed_ns() - span.total_ns).abs() < 1e-9);
@@ -1183,7 +1184,7 @@ mod tests {
         let ring = TraceRing::with_capacity(4);
         for i in 0..10u64 {
             let mut cost = CostTracker::new();
-            cost.charge("x", i as f64);
+            cost.charge(Stage::DriverRx, i as f64);
             let span = TraceCtx::begin(i, 1, 0).finish(&cost, Disposition::Queued);
             ring.push(span);
         }
@@ -1241,12 +1242,12 @@ mod tests {
         let mut spans = Vec::new();
         for i in 0..10u64 {
             let mut cost = CostTracker::new();
-            cost.charge("flowcache_hit", 85.0);
+            cost.charge(Stage::FlowcacheHit, 85.0);
             spans.push(TraceCtx::begin(i, 1, 0).finish(&cost, Disposition::Transmitted));
         }
         let mut cost = CostTracker::new();
-        cost.charge("driver_rx", 124.0);
-        cost.charge("fib_lookup", 175.0);
+        cost.charge(Stage::DriverRx, 124.0);
+        cost.charge(Stage::FibLookup, 175.0);
         let mut ctx = TraceCtx::begin(10, 1, 0);
         ctx.event(|| TraceEvent::Drop {
             reason: DropReason::NoRoute,
@@ -1278,7 +1279,7 @@ mod tests {
     #[test]
     fn span_json_shape() {
         let mut cost = CostTracker::new();
-        cost.charge("driver_rx", 124.0);
+        cost.charge(Stage::DriverRx, 124.0);
         let mut ctx = TraceCtx::begin(3, 2, 500);
         ctx.event(|| TraceEvent::Drop {
             reason: DropReason::TtlExceeded,

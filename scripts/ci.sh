@@ -62,6 +62,10 @@ gate_allocs router_steady 0.03125
 echo "==> a sharded burst allocates what an unsharded one does: allocs_per_op <= 1/32 on router_sharded"
 gate_allocs router_sharded 0.03125
 
+echo "==> a warm pod-to-pod send allocates six times: the pod's frame, a veth re-queue deque per node, the VXLAN outer and decapsulated inner frames, and the wire vector"
+# The learned VTEP and the frames put on the wire are moved, not copied.
+gate_allocs pod_to_pod 6
+
 echo "==> verifying and optimizing allocate nothing per instruction: allocs_per_op <= 213 on reaction_storm"
 # Whole command cycles (six reactions) read 212.67 allocations per
 # reaction; a window that stops mid-cycle reads a little below, so the

@@ -70,6 +70,6 @@ pub mod prelude {
     pub use linuxfp_platforms::{
         LinuxFpPlatform, LinuxPlatform, Platform, PolycubePlatform, Scenario, VppPlatform,
     };
-    pub use linuxfp_sim::{CostModel, Nanos, Summary};
+    pub use linuxfp_sim::{CostModel, Nanos, Stage, Summary};
     pub use linuxfp_telemetry::{render_prometheus, snapshot_json, Registry};
 }

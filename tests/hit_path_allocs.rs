@@ -1,7 +1,9 @@
 //! The steady-state datapath allocates one thing per burst, sharded or
 //! not: the vector of outcomes it returns. A flow-cache hit, a
 //! first-sighting miss and a burst's own bookkeeping — amortization
-//! flags, cost trackers, per-shard times, effects — allocate nothing. This binary installs its own counting allocator, so the
+//! flags, cost trackers, per-shard times, effects — allocate nothing. A
+//! warm pod-to-pod send allocates six times, each a frame or a queue it
+//! needs. This binary installs its own counting allocator, so the
 //! property is held by the tier-1 suite, not only by the benchmark.
 
 use linuxfp::netstack::stack::Effect;
@@ -172,4 +174,30 @@ fn first_sighting_gateway_bursts_allocate_only_what_they_return() {
     let (allocs, hits) = d.run(BURSTS, advance);
     assert_eq!(hits, 0);
     assert_eq!(allocs, BURSTS as u64, "the outcome vector per burst");
+}
+
+#[test]
+fn a_warm_pod_to_pod_send_allocates_six_times() {
+    let mut cluster = linuxfp::k8s::Cluster::new(2, true);
+    let a = cluster.add_pod(0);
+    let b = cluster.add_pod(1);
+    cluster.warm_pair(a, b);
+    let payload = [7u8; 64];
+    // Warm every flow-cache entry both directions use.
+    for _ in 0..3 {
+        assert!(cluster.pod_send(a, b, &payload).delivered);
+        assert!(cluster.pod_send(b, a, &payload).delivered);
+    }
+    const SENDS: u64 = 40;
+    let start = allocations();
+    for i in 0..SENDS {
+        let (from, to) = if i % 2 == 0 { (a, b) } else { (b, a) };
+        let report = cluster.pod_send(from, to, &payload);
+        assert!(report.delivered && report.fast_path_hits > 0, "{report:?}");
+    }
+    // Per send: the pod's frame; on each node the queue its veth
+    // crossing re-queues onto; the VXLAN outer frame; the decapsulated
+    // inner frame; and the vector of frames on the wire. The learned
+    // VTEP and the frame put on the wire are not copied.
+    assert_eq!(allocations() - start, 6 * SENDS);
 }

@@ -543,8 +543,8 @@ fn a_shard_time_is_its_packets_plus_its_own_fixed_parts() {
             if active[shard] {
                 let mut fixed = linuxfp::sim::CostTracker::new();
                 for t in [&mut fixed, &mut batch_cost] {
-                    t.charge("driver_rx", cost.rx_batch_fixed_ns);
-                    t.charge("xdp_entry", cost.hook_batch_fixed_ns);
+                    t.charge(Stage::DriverRx, cost.rx_batch_fixed_ns);
+                    t.charge(Stage::XdpEntry, cost.hook_batch_fixed_ns);
                 }
                 want[shard] += fixed.total_ns();
             }
