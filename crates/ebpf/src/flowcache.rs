@@ -11,10 +11,11 @@
 //!   first miss of a flow under the current coherence generation only
 //!   places a key-only *placeholder* node and runs the program unrecorded,
 //!   exactly as with the cache off. A later miss that finds its
-//!   placeholder runs the program while a [`RecordingEnv`] captures every
-//!   helper call; afterwards the net packet transformation is recovered by
-//!   diffing the frame ([`linuxfp_packet::rewrite::derive_ops`]) and the
-//!   `(flow key → verdict, rewrite ops, helper touches)` entry fills the
+//!   placeholder runs the program while a [`RecordingEnv`] logs the
+//!   helper calls a hit must repeat; afterwards the net packet
+//!   transformation is recovered by diffing the frame
+//!   ([`linuxfp_packet::rewrite::derive_ops`]) and the `(flow key →
+//!   verdict, rewrite ops, helper touches)` entry fills the
 //!   placeholder in place — but only if the recording passes every gate:
 //!   the program's static cacheability contract, a replayable diff, a
 //!   cacheable verdict, and a measured interpretation cost above the hit
@@ -24,12 +25,19 @@
 //!   and no entry, and a placeholder evicted before its flow returns
 //!   leaves the recorded entries of the working set alone (scan
 //!   resistance).
-//! * On a **hit** the recorded rewrite ops are applied directly and the
-//!   helper touches are **replayed** against the live kernel, so every
-//!   side effect interpretation would have had — FDB/NAT timestamp
-//!   refreshes, lazy expiries, subsystem telemetry — happens identically.
-//!   The packet is charged the flat [`flowcache_hit_ns`] price instead of
-//!   the interpretation cost.
+//! * On a **hit** the recorded rewrite ops are applied directly and only
+//!   the touches with a **per-packet effect** are replayed: a NAT
+//!   lookup's translation counters and an L7 lookup's counters and pin.
+//!   An entry lives under one combined generation, and a clock advance
+//!   changes it, so every hit sees the `now` its recording saw. At a
+//!   fixed `now` a second FIB, FDB, FORWARD-chain or conntrack lookup
+//!   changes nothing the recording run did not: the neighbour's lazy
+//!   Reachable→Stale move and the FDB source refresh were already made,
+//!   and an expiry bumps a generation, flushing the entry. Those four are
+//!   therefore not recorded at all, and a router, gateway, ipvs or bridge
+//!   hit runs no lookup — so `linuxfp_subsystem_ops_total` counts only
+//!   the lookups that ran. The packet is charged the flat
+//!   [`flowcache_hit_ns`] price instead of the interpretation cost.
 //! * **Coherence** comes from one number: the kernel-wide
 //!   [`state_generation`] plus the map store's program generation. Every
 //!   netlink-driven mutation, conntrack/NAT eviction, virtual-time
@@ -230,49 +238,14 @@ impl FlowKey {
     }
 }
 
-/// One recorded helper call: the helper plus the arguments it was called
-/// with. Replaying the sequence against the live kernel reproduces all
-/// slow-path-visible side effects of interpretation (timestamp
-/// refreshes, lazy expiries, subsystem op counters) exactly — within one
-/// coherence generation helper results are deterministic functions of
-/// their arguments, so the replayed calls return what was recorded.
+/// One recorded helper call whose effect a hit must repeat: the helper
+/// plus the arguments it was called with. Within one coherence
+/// generation helper results are deterministic functions of their
+/// arguments, so a replayed call returns what was recorded and lands the
+/// per-packet side effects interpretation would have had.
 #[derive(Debug, Clone)]
 pub enum HelperTouch {
-    /// `bpf_fib_lookup`.
-    Fib {
-        /// Destination address looked up.
-        dst: Ipv4Addr,
-    },
-    /// `bpf_fdb_lookup` (refreshes the source MAC's FDB entry).
-    Fdb {
-        /// Ingress port.
-        ingress: IfIndex,
-        /// Source MAC (learned/refreshed).
-        src: MacAddr,
-        /// Destination MAC looked up.
-        dst: MacAddr,
-        /// VLAN id.
-        vlan: u16,
-    },
-    /// `bpf_ipt_lookup`.
-    Ipt {
-        /// The metadata the rules were evaluated against.
-        meta: PacketMeta,
-    },
-    /// Conntrack lookup (ipvs backend resolution).
-    Ct {
-        /// Source address.
-        src: Ipv4Addr,
-        /// Source port.
-        sport: u16,
-        /// Destination address.
-        dst: Ipv4Addr,
-        /// Destination port.
-        dport: u16,
-        /// IP protocol.
-        proto: u8,
-    },
-    /// `bpf_nat_lookup` (refreshes the NAT binding's last-seen time).
+    /// `bpf_nat_lookup` (counts a translation or reply hit).
     Nat {
         /// Source address.
         src: Ipv4Addr,
@@ -314,31 +287,6 @@ pub enum HelperTouch {
 pub fn replay_touches(touches: &[HelperTouch], kernel: &mut Kernel) {
     for touch in touches {
         match *touch {
-            HelperTouch::Fib { dst } => {
-                let _ = kernel.env_fib_lookup(dst);
-            }
-            HelperTouch::Fdb {
-                ingress,
-                src,
-                dst,
-                vlan,
-            } => {
-                let _ = kernel.env_fdb_lookup(ingress, src, dst, vlan);
-            }
-            HelperTouch::Ipt { ref meta } => {
-                // The rule walk's virtual cost is covered by the flat hit
-                // price: walk (it counts as an evaluation), price nothing.
-                let _ = kernel.helper_ipt_walk(meta);
-            }
-            HelperTouch::Ct {
-                src,
-                sport,
-                dst,
-                dport,
-                proto,
-            } => {
-                let _ = kernel.env_ct_lookup(src, sport, dst, dport, proto);
-            }
             HelperTouch::Nat {
                 src,
                 sport,
@@ -362,21 +310,21 @@ pub fn replay_touches(touches: &[HelperTouch], kernel: &mut Kernel) {
     }
 }
 
-/// A [`HelperEnv`] that delegates to the kernel while logging every call
-/// — the recorder half of the microflow cache.
+/// A [`HelperEnv`] that delegates every call to the kernel and logs the
+/// ones a hit must replay — the recorder half of the microflow cache.
 pub struct RecordingEnv<'a> {
     inner: &'a mut Kernel,
     touches: Vec<HelperTouch>,
 }
 
 impl<'a> RecordingEnv<'a> {
-    /// Wraps the kernel for one recorded program run.
+    /// Wraps the kernel for one recorded program run. The log allocates
+    /// on its first replayed call: router, gateway, ipvs and bridge
+    /// recordings make none.
     pub fn new(inner: &'a mut Kernel) -> Self {
         RecordingEnv {
             inner,
-            // The log lives as long as the cached flow, and most
-            // pipelines make one helper call: start at one slot, not four.
-            touches: Vec::with_capacity(1),
+            touches: Vec::new(),
         }
     }
 
@@ -393,8 +341,10 @@ impl HelperEnv for RecordingEnv<'_> {
         self.inner.env_now()
     }
 
+    // The next four are not logged: repeated at the recording's `now`,
+    // they would change nothing (see the module docs).
+
     fn env_fib_lookup(&mut self, dst: Ipv4Addr) -> Option<FibFastResult> {
-        self.touches.push(HelperTouch::Fib { dst });
         self.inner.env_fib_lookup(dst)
     }
 
@@ -405,17 +355,10 @@ impl HelperEnv for RecordingEnv<'_> {
         dst: MacAddr,
         vlan: u16,
     ) -> FdbLookupOutcome {
-        self.touches.push(HelperTouch::Fdb {
-            ingress,
-            src,
-            dst,
-            vlan,
-        });
         self.inner.env_fdb_lookup(ingress, src, dst, vlan)
     }
 
     fn env_ipt_lookup(&mut self, meta: &PacketMeta, tracker: &mut CostTracker) -> NfVerdict {
-        self.touches.push(HelperTouch::Ipt { meta: *meta });
         self.inner.env_ipt_lookup(meta, tracker)
     }
 
@@ -427,13 +370,6 @@ impl HelperEnv for RecordingEnv<'_> {
         dport: u16,
         proto: u8,
     ) -> Option<(Ipv4Addr, u16)> {
-        self.touches.push(HelperTouch::Ct {
-            src,
-            sport,
-            dst,
-            dport,
-            proto,
-        });
         self.inner.env_ct_lookup(src, sport, dst, dport, proto)
     }
 
@@ -1482,25 +1418,53 @@ mod tests {
     }
 
     #[test]
-    fn recording_env_logs_and_delegates() {
+    fn recording_env_delegates_every_call_and_logs_only_nat_and_l7() {
+        use linuxfp_netstack::netfilter::{ChainHook, IptRule};
+        use linuxfp_netstack::stack::IfAddr;
+        use linuxfp_packet::ipv4::{IpProto, Prefix};
         let mut k = Kernel::new(1);
+        let eth0 = k.add_physical("eth0").unwrap();
+        k.ip_addr_add(eth0, "10.0.0.1/24".parse::<IfAddr>().unwrap())
+            .unwrap();
+        k.ip_link_set_up(eth0).unwrap();
+        let (peer, peer_mac) = (Ipv4Addr::new(10, 0, 0, 9), MacAddr::from_index(9));
+        let now = k.now();
+        k.neigh.learn(peer, peer_mac, eth0, now);
+        let (a, b) = (Ipv4Addr::new(10, 0, 0, 5), Ipv4Addr::new(10, 0, 0, 6));
+        k.iptables_append(ChainHook::Forward, IptRule::drop_dst(Prefix::new(b, 32)));
+        let meta = PacketMeta {
+            src: a,
+            dst: b,
+            proto: IpProto::Udp,
+            sport: 1,
+            dport: 2,
+            in_if: eth0,
+            out_if: IfIndex::NONE,
+        };
         let mut env = RecordingEnv::new(&mut k);
-        assert!(env.env_fib_lookup(Ipv4Addr::new(10, 0, 0, 9)).is_none());
-        assert!(env
-            .env_ct_lookup(
-                Ipv4Addr::new(1, 1, 1, 1),
-                1,
-                Ipv4Addr::new(2, 2, 2, 2),
-                2,
-                17
-            )
-            .is_none());
+        // Delegated: the recording run sees what the kernel answers.
+        let fib = env.env_fib_lookup(peer).expect("a resolved next hop");
+        assert_eq!((fib.ifindex, fib.dst_mac), (eth0, peer_mac));
+        assert!(env.env_ct_lookup(a, 1, b, 2, 17).is_none());
+        let mut tracker = CostTracker::new();
+        assert_eq!(env.env_ipt_lookup(&meta, &mut tracker), NfVerdict::Drop);
+        assert!(tracker.total_ns() > 0.0, "the walk is priced");
+        assert_eq!(
+            env.env_fdb_lookup(eth0, MacAddr::from_index(1), MacAddr::from_index(2), 1),
+            FdbLookupOutcome::SrcUnknown
+        );
+        // Logged: only the two touches with a per-packet effect.
+        assert!(env.touches.is_empty(), "a lookup-only run logs nothing");
+        let _ = env.env_nat_lookup(a, 1, b, 2, 17);
+        let _ = env.env_l7_lookup(a, 1, b, 80, b"GET / HTTP/1.1\r\n", Some(b'G'));
         let touches = env.into_touches();
-        assert_eq!(touches.len(), 2);
-        assert!(matches!(touches[0], HelperTouch::Fib { .. }));
-        assert!(matches!(touches[1], HelperTouch::Ct { .. }));
-        // Replay is side-effect-equivalent (here: no-ops on an empty
-        // kernel) and must not panic.
+        assert!(matches!(
+            touches[..],
+            [
+                HelperTouch::Nat { sport: 1, .. },
+                HelperTouch::L7 { dport: 80, .. }
+            ]
+        ));
         replay_touches(&touches, &mut k);
     }
 }

@@ -131,9 +131,9 @@ impl LoadedProgram {
     }
 }
 
-/// Whether a helper's result is safe to capture and replay: deterministic
-/// given its arguments and generation-covered kernel state, with side
-/// effects the slow-path replay reproduces exactly.
+/// Whether a helper's result is safe to capture: deterministic given its
+/// arguments and generation-covered kernel state, with side effects a
+/// cache hit either reproduces exactly or need not repeat.
 fn helper_is_cacheable(helper: HelperId) -> bool {
     !matches!(
         helper,

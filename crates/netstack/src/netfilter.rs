@@ -495,8 +495,7 @@ impl Netfilter {
     }
 
     /// Traverses the chain at `hook` charging nothing: the verdict plus
-    /// the work done, for the caller to price (or, replaying a cached
-    /// flow's helper calls, to discard). Counts as one evaluation.
+    /// the work done, for the caller to price. Counts as one evaluation.
     pub fn walk(&self, hook: ChainHook, meta: &PacketMeta) -> ChainWalk {
         if let Some(c) = &self.evaluations {
             c.inc();

@@ -18,7 +18,7 @@ use crate::fib::{Fib, Route, RouteScope};
 use crate::l7::{L7ConnKey, L7LookupOutcome, L7Policy, L7};
 use crate::nat::{Nat, NatChain, NatCtx, NatLookupOutcome, NatRule, PostOutcome};
 use crate::neigh::NeighTable;
-use crate::netfilter::{ChainHook, ChainWalk, IptRule, Netfilter, NfVerdict, PacketMeta};
+use crate::netfilter::{ChainHook, IptRule, Netfilter, NfVerdict, PacketMeta};
 use crate::netlink::{LinkInfo, NetlinkBus, NetlinkMessage, NlGroup, RouteInfo, SubscriberId};
 use linuxfp_packet::arp::{ArpOp, ArpPacket};
 use linuxfp_packet::builder;
@@ -1757,12 +1757,6 @@ impl Kernel {
             tracker,
             self.cost.helper_ipt_rule_ns,
         )
-    }
-
-    /// The walk behind [`Kernel::helper_ipt_lookup`] with nothing priced:
-    /// what replaying a cached flow's recorded call amounts to.
-    pub fn helper_ipt_walk(&self, meta: &PacketMeta) -> ChainWalk {
-        self.netfilter.walk(ChainHook::Forward, meta)
     }
 
     /// `bpf_nat_lookup` (the fifth subsystem's helper): reads the

@@ -5,9 +5,10 @@
 //! the hit path.
 
 use linuxfp::netstack::ipvs::Scheduler;
+use linuxfp::netstack::stack::HousekeepingReport;
 use linuxfp::packet::ipv4::IpProto;
 use linuxfp::packet::{builder, Batch, BufferPool};
-use linuxfp::platforms::scenario::SOURCE_MAC;
+use linuxfp::platforms::scenario::{NEXT_HOP, SOURCE_MAC};
 use linuxfp::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -426,5 +427,166 @@ fn cache_hits_never_grow_the_buffer_pool() {
         pool.stats().allocated,
         warm,
         "cache hits must recycle buffers, not allocate"
+    );
+}
+
+/// The state a clock advance ages, in a fixed order: the neighbour table
+/// and, if `bridge` is given, its FDB.
+type AgedState = (
+    Vec<(Ipv4Addr, linuxfp::netstack::neigh::NeighEntry)>,
+    Vec<([u8; 6], u16, linuxfp::netstack::bridge::FdbEntry)>,
+);
+
+fn aged_state(k: &Kernel, bridge: Option<IfIndex>) -> AgedState {
+    let mut neigh = k.neigh.entries();
+    neigh.sort_by_key(|(ip, _)| *ip);
+    let mut fdb: Vec<_> = bridge
+        .and_then(|br| k.bridge(br))
+        .map(|b| b.fdb_entries())
+        .unwrap_or_default()
+        .into_iter()
+        .map(|(mac, vlan, e)| (mac.octets(), vlan, e))
+        .collect();
+    fdb.sort_by_key(|&(mac, vlan, _)| (mac, vlan));
+    (neigh, fdb)
+}
+
+/// Runs `flows` in rounds on a cache-on and a cache-off kernel, advancing
+/// both clocks by each of `steps` (seconds) between rounds and running
+/// housekeeping after every advance. Outputs, housekeeping reports and the
+/// aged tables must agree throughout. A round sends every flow four
+/// times: placed, recorded, then served twice. Returns the cache-on
+/// side's hits, the housekeeping reports and the aged state after each
+/// round.
+fn assert_transparent_across_advances(
+    what: &str,
+    on: &mut Kernel,
+    off: &mut Kernel,
+    bridge: Option<IfIndex>,
+    flows: &[(IfIndex, Vec<u8>)],
+    steps: &[u64],
+) -> (u64, Vec<HousekeepingReport>, Vec<AgedState>) {
+    off.sysctl_set("net.linuxfp.flow_cache", 0).unwrap();
+    let mut hits = 0;
+    let mut reports = Vec::new();
+    let mut states = Vec::new();
+    // Round 0 runs before the first advance.
+    for (round, &secs) in [0].iter().chain(steps).enumerate() {
+        if round > 0 {
+            on.advance(Nanos::from_secs(secs));
+            off.advance(Nanos::from_secs(secs));
+            let report = on.run_housekeeping();
+            assert_eq!(report, off.run_housekeeping(), "{what} round {round}");
+            reports.push(report);
+            assert_eq!(
+                aged_state(on, bridge),
+                aged_state(off, bridge),
+                "{what}: housekeeping before round {round}"
+            );
+        }
+        for pass in 0..4 {
+            for (i, (dev, frame)) in flows.iter().enumerate() {
+                let out_on = on.receive(*dev, frame.clone());
+                let out_off = off.receive(*dev, frame.clone());
+                hits += out_on.cost.stage_count("flowcache_hit");
+                assert_eq!(
+                    observe(std::iter::once(&out_on)),
+                    observe(std::iter::once(&out_off)),
+                    "{what} round {round} pass {pass} flow {i}"
+                );
+            }
+        }
+        let state = aged_state(off, bridge);
+        assert_eq!(aged_state(on, bridge), state, "{what}: after round {round}");
+        states.push(state);
+    }
+    (hits, reports, states)
+}
+
+#[test]
+fn aged_state_identical_with_cache_on_and_off_across_clock_advances() {
+    use linuxfp::netstack::neigh::NeighState;
+    // A hit repeats no FIB or FDB lookup: the neighbour's lazy
+    // Reachable -> Stale move and the FDB source refresh must still land
+    // exactly as with the cache off, because an advance ends every entry.
+
+    // Bridge: both stations talk each round. Steps cross the neighbour
+    // reachable time, approach the 300 s FDB ageing time, then pass it.
+    let build = || {
+        let mut k = Kernel::new(66);
+        let p1 = k.add_physical("p1").unwrap();
+        let p2 = k.add_physical("p2").unwrap();
+        let br = k.add_bridge("br0").unwrap();
+        k.brctl_addif(br, p1).unwrap();
+        k.brctl_addif(br, p2).unwrap();
+        for d in [p1, p2, br] {
+            k.ip_link_set_up(d).unwrap();
+        }
+        let (ctrl, _) = Controller::attach(&mut k, ControllerConfig::default()).unwrap();
+        (k, ctrl, p1, p2, br)
+    };
+    let (mut k_on, _c1, p1, p2, br) = build();
+    let (mut k_off, _c2, ..) = build();
+    let (host_a, host_b) = (MacAddr::from_index(0xA1), MacAddr::from_index(0xB1));
+    let (ip_a, ip_b) = (Ipv4Addr::new(1, 1, 1, 1), Ipv4Addr::new(1, 1, 1, 2));
+    let mut flows = Vec::new();
+    for sport in 0..3u16 {
+        let frame = builder::udp_packet(host_a, host_b, ip_a, ip_b, 1000 + sport, 2000, b"a");
+        flows.push((p1, frame));
+    }
+    for sport in 0..2u16 {
+        let frame = builder::udp_packet(host_b, host_a, ip_b, ip_a, 2000 + sport, 1000, b"b");
+        flows.push((p2, frame));
+    }
+    let (hits, reports, _) = assert_transparent_across_advances(
+        "bridge",
+        &mut k_on,
+        &mut k_off,
+        Some(br),
+        &flows,
+        &[10, 31, 200, 290, 299, 301, 5],
+    );
+    // Two served passes of five flows a round; the first round and the
+    // one after the stations aged out re-learn them and serve fewer.
+    assert!(hits >= 6 * 5 * 2, "bridge flows must hit: {hits}");
+    // Only the 301 s step outran the refreshes: both stations aged out.
+    let expired: Vec<usize> = reports.iter().map(|r| r.fdb_expired).collect();
+    assert_eq!(expired, [0, 0, 0, 0, 0, 2, 0]);
+
+    // Router: steps cross the 30 s reachable time (the next hop goes
+    // stale on its next lookup), stay inside the 60 s stale window, then
+    // leave it (garbage-collected; the flows park behind ARP).
+    let s = Scenario::router();
+    let mut on = LinuxFpPlatform::new(s);
+    let mut off = LinuxFpPlatform::new(s);
+    let mac = on.dut_mac();
+    let up = on.kernel_mut().ifindex("ens1f0").unwrap();
+    let flows: Vec<_> = (0..5u64).map(|i| (up, s.frame(mac, i, 60))).collect();
+    let (hits, reports, states) = assert_transparent_across_advances(
+        "router",
+        on.kernel_mut(),
+        off.kernel_mut(),
+        None,
+        &flows,
+        &[20, 15, 40, 30],
+    );
+    let next_hop: Vec<_> = states
+        .iter()
+        .map(|(neigh, _)| {
+            let hop = neigh.iter().find(|(ip, _)| *ip == NEXT_HOP);
+            hop.map(|(_, e)| e.state)
+        })
+        .collect();
+    use NeighState::{Incomplete, Reachable, Stale};
+    let expected = [Reachable, Reachable, Stale, Stale, Incomplete];
+    assert_eq!(next_hop, expected.map(Some));
+    let expired: Vec<usize> = reports.iter().map(|r| r.neigh_expired).collect();
+    // The stale next hop and the source host, never looked up since
+    // setup, are collected.
+    assert_eq!(expired, [0, 0, 0, 2]);
+    // The last round parks behind ARP: no recording, no hit.
+    assert!(
+        hits >= 4 * 5 * 2,
+        "router flows must hit every round: {hits}"
     );
 }

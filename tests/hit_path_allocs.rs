@@ -3,7 +3,8 @@
 //! first-sighting miss and a burst's own bookkeeping — amortization
 //! flags, cost trackers, per-shard times, effects — allocate nothing. A
 //! warm pod-to-pod send allocates six times, each a frame or a queue it
-//! needs. This binary installs its own counting allocator, so the
+//! needs. Recording a router flow allocates for the diff and the entry,
+//! not for an empty helper log. This binary installs its own counting allocator, so the
 //! property is held by the tier-1 suite, not only by the benchmark.
 
 use linuxfp::netstack::stack::Effect;
@@ -200,4 +201,33 @@ fn a_warm_pod_to_pod_send_allocates_six_times() {
     // inner frame; and the vector of frames on the wire. The learned
     // VTEP and the frame put on the wire are not copied.
     assert_eq!(allocations() - start, 6 * SENDS);
+}
+
+#[test]
+fn an_admitted_router_recording_allocates_seven_times() {
+    let s = Scenario::router();
+    let mut platform = LinuxFpPlatform::new(s);
+    let frame = s.frame(platform.dut_mac(), 0, 60);
+    let pool = BufferPool::new();
+    let mut batch = Batch::with_capacity(1);
+    // One frame of the flow per burst: (allocations, cache hits).
+    let mut send = |platform: &mut LinuxFpPlatform| {
+        batch.push(pool.acquire_from(&frame));
+        let start = allocations();
+        let out = platform.process_batch(&mut batch);
+        let allocs = allocations() - start;
+        (allocs, out.outcomes[0].cost.stage_count("flowcache_hit"))
+    };
+    // First sighting: a placeholder (and the warm-up of the pool).
+    send(&mut platform);
+    let recording = send(&mut platform);
+    assert_eq!(
+        send(&mut platform),
+        (1, 1),
+        "then a hit: the outcome vector"
+    );
+    // The outcome vector, the frame copy the diff reads, and the entry:
+    // its box, its rewrite ops and their bytes. A router program logs no
+    // helper touch, so its empty log allocates nothing.
+    assert_eq!(recording, (7, 0));
 }

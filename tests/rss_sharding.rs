@@ -398,57 +398,26 @@ fn a_route_change_costs_each_shard_one_fib_coherence_charge() {
 }
 
 #[test]
-fn hits_replaying_conntrack_touches_pay_no_coherence() {
-    use linuxfp::netstack::ipvs::Scheduler;
-    use linuxfp::packet::ipv4::IpProto;
-    // An ipvs load balancer: pinned flows are rewritten on the fast path
-    // through bpf_ct_lookup, so each recorded entry replays a conntrack
-    // touch on every hit.
-    const VIP: Ipv4Addr = Ipv4Addr::new(10, 96, 0, 10);
+fn hits_replaying_nat_touches_pay_no_coherence() {
+    // A masquerading gateway: every recorded entry logs a NAT touch, so
+    // every hit replays it (counting the translation) and then re-syncs
+    // its shard's view of the shared state.
+    let s = Scenario::nat_gateway();
     let registry = Registry::new();
-    let mut k = Kernel::new(47);
-    k.set_telemetry(registry.clone());
-    let eth0 = k.add_physical("eth0").unwrap();
-    let eth1 = k.add_physical("eth1").unwrap();
-    k.ip_addr_add(eth0, "10.0.1.1/24".parse::<IfAddr>().unwrap())
+    let mut p = LinuxFpPlatform::with_telemetry(s, HookPoint::Xdp, registry.clone());
+    p.kernel_mut()
+        .sysctl_set("net.linuxfp.rss_shards", 8)
         .unwrap();
-    k.ip_addr_add(eth1, "10.0.2.1/24".parse::<IfAddr>().unwrap())
-        .unwrap();
-    k.ip_link_set_up(eth0).unwrap();
-    k.ip_link_set_up(eth1).unwrap();
-    k.sysctl_set("net.ipv4.ip_forward", 1).unwrap();
-    let now = k.now();
-    for i in 0..3u8 {
-        let backend = Ipv4Addr::new(10, 0, 2, 10 + i);
-        k.neigh
-            .learn(backend, MacAddr::from_index(0xB0 + u64::from(i)), eth1, now);
-    }
-    assert!(k.ipvsadm_add_service(VIP, 53, IpProto::Udp, Scheduler::RoundRobin));
-    for i in 0..3u8 {
-        assert!(k.ipvsadm_add_backend(VIP, 53, IpProto::Udp, Ipv4Addr::new(10, 0, 2, 10 + i), 53));
-    }
-    let (_ctrl, _) = Controller::attach(&mut k, ControllerConfig::default()).unwrap();
-    k.sysctl_set("net.linuxfp.rss_shards", 8).unwrap();
-    let mac = k.device(eth0).unwrap().mac;
-    let queries: Vec<Vec<u8>> = (0..32u16)
-        .map(|i| {
-            builder::udp_packet(
-                MacAddr::from_index(0xAAAA),
-                mac,
-                Ipv4Addr::new(10, 0, 1, 100),
-                VIP,
-                40000 + i,
-                53,
-                b"query",
-            )
-        })
+    let mac = p.dut_mac();
+    let flows: Vec<Vec<u8>> = (0..32u64)
+        .map(|i| s.client_frame(mac, 2 + (i % 8) as u8, i / 8, 60))
         .collect();
-    let pass = |k: &mut Kernel| -> Vec<(u64, u64, u64)> {
+    let pass = |p: &mut LinuxFpPlatform| -> Vec<(u64, u64, u64)> {
         let mut batch = Batch::new();
-        for q in &queries {
-            batch.push(q.clone());
+        for f in &flows {
+            batch.push(f.clone());
         }
-        k.inject_batch(eth0, &mut batch)
+        p.process_batch(&mut batch)
             .outcomes
             .iter()
             .map(|rx| {
@@ -460,16 +429,22 @@ fn hits_replaying_conntrack_touches_pay_no_coherence() {
             })
             .collect()
     };
-    // Scheduled and pinned on the slow path, then placed, recorded, served.
+    // Bound on the slow path, then placed, recorded, served.
     for _ in 0..4 {
-        pass(&mut k);
+        pass(&mut p);
     }
     let before = coherence_events(&registry);
     for _ in 0..3 {
-        let served = pass(&mut k);
+        let translations = registry.counter_total("linuxfp_nat_translations_total");
+        let served = pass(&mut p);
         assert!(
             served.iter().all(|&c| c == (0, 1, 0)),
-            "every query a fast-path hit paying no coherence: {served:?}"
+            "every flow a fast-path hit paying no coherence: {served:?}"
+        );
+        assert_eq!(
+            registry.counter_total("linuxfp_nat_translations_total") - translations,
+            32,
+            "every hit replayed its NAT touch"
         );
     }
     assert_eq!(coherence_events(&registry), before);
