@@ -188,8 +188,8 @@ impl Deployer {
 
         for fp in fps {
             // Run the synthesized program through the bytecode
-            // optimizer (sysctl-gated) before loading: the load-time
-            // JIT then sees the shrunk form. The optimizer verifies its
+            // optimizer (sysctl-gated) before loading: the engine then
+            // runs the shrunk form. The optimizer verifies its
             // input and its output, falls back to the input on any
             // failure, and hands back the verifier's proof of what it
             // returns — so a program is verified at most twice, and

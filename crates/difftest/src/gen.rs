@@ -18,6 +18,10 @@ pub fn generate(seed: u64) -> DiffScenario {
     };
     let ipvs = rng.chance(0.4);
     let dnat = base.prefixes >= 2 && rng.chance(0.4);
+    // A quarter of seeds also burst through a two-port bridge beside the
+    // router. Drawn from a stream of its own, so the other seeds' ops are
+    // what they were before bridges were drawn.
+    let bridged = SimRng::seed(seed ^ BRIDGE_STREAM).chance(0.25);
 
     let mut ops = Vec::new();
     // Upper bound on masquerade allocations so far: reply targets are
@@ -26,6 +30,7 @@ pub fn generate(seed: u64) -> DiffScenario {
     let n_ops = 12 + rng.uniform_u64(20);
     for _ in 0..n_ops {
         match rng.uniform_u64(100) {
+            0..=54 if bridged && rng.chance(0.3) => ops.push(gen_station_burst(&mut rng)),
             0..=54 => {
                 let burst = gen_burst(&mut rng, &base, ipvs, dnat, &mut masq_upper);
                 ops.push(burst);
@@ -78,6 +83,28 @@ const MODE_STREAM: u64 = 0x6D6F_6465;
 fn gen_mode(seed: u64) -> (u32, bool) {
     let draw = SimRng::seed(seed ^ MODE_STREAM).uniform_u64(4);
     (if draw & 1 == 1 { 4 } else { 1 }, draw & 2 == 0)
+}
+
+/// Salt of the bridge stream: "br" in ASCII.
+const BRIDGE_STREAM: u64 = 0x6272;
+
+/// Station traffic through one bridge port: a few UDP flows between the
+/// two stations, so repeats hit the bridge fast path's flow cache, its
+/// `bpf_fdb_lookup`s learn and refresh both stations, and the scenario's
+/// clock advances age them.
+fn gen_station_burst(rng: &mut SimRng) -> Op {
+    let dir = if rng.chance(0.5) {
+        Dir::BridgeA
+    } else {
+        Dir::BridgeB
+    };
+    let n = 1 + rng.uniform_u64(8);
+    let packets = (0..n)
+        .map(|_| PacketSpec::Station {
+            flow: rng.uniform_u64(4),
+        })
+        .collect();
+    Op::Burst { dir, packets }
 }
 
 fn gen_burst(
@@ -285,6 +312,24 @@ mod tests {
         for seed in [0, 1, 42, 0xDEAD] {
             assert_eq!(generate(seed), generate(seed), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn a_share_of_seeds_bursts_through_the_bridge() {
+        let bridged = (0..400)
+            .filter(|&seed| {
+                generate(seed).ops.iter().any(|op| {
+                    matches!(
+                        op,
+                        Op::Burst {
+                            dir: Dir::BridgeA | Dir::BridgeB,
+                            ..
+                        }
+                    )
+                })
+            })
+            .count();
+        assert!((60..=140).contains(&bridged), "{bridged} of 400 seeds");
     }
 
     #[test]

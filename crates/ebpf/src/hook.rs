@@ -17,12 +17,11 @@
 //! it at most twice, before and after the program runs.
 
 use crate::asm::Asm;
-use crate::compile;
 use crate::flowcache::{self, FlowCache, FlowEntry, FlowKey, Probe};
 use crate::insn::Action;
 use crate::maps::{MapId, MapStore};
 use crate::program::{LoadedProgram, Program};
-use crate::vm::{VmCtx, VmOutcome};
+use crate::vm::{self, VmCtx, VmOutcome};
 use linuxfp_netstack::device::IfIndex;
 use linuxfp_netstack::stack::{rss, HookFn, HookVerdict, Kernel};
 use linuxfp_netstack::NetError;
@@ -448,10 +447,10 @@ fn hook_fn(
         let start = resolved.as_ref().unwrap_or(&prog);
         let (out, touches) = if record.is_some() {
             let mut rec = flowcache::RecordingEnv::new(kernel);
-            let out = compile::run(start, ctx, &mut rec, &maps, &cost, tracker);
+            let out = vm::run(start, ctx, &mut rec, &maps, &cost, tracker);
             (out, rec.into_touches())
         } else {
-            let out = compile::run(start, ctx, kernel, &maps, &cost, tracker);
+            let out = vm::run(start, ctx, kernel, &maps, &cost, tracker);
             (out, Vec::new())
         };
         let interp_ns = tracker.total_ns() - interp_start;

@@ -6,8 +6,7 @@
 //! stores, helper calls with the standard `r1`–`r5` argument / `r0` return
 //! convention, tail calls, and `exit`. Fast-path modules are synthesized
 //! into this instruction set, verified by [`crate::verifier`], and
-//! executed in the [`crate::compile`] direct-threaded form built at load
-//! time (the [`crate::vm`] reference interpreter is the tests' oracle).
+//! executed by the [`crate::vm`] interpreter.
 
 /// Number of general-purpose registers (`r0`–`r10`).
 pub const NUM_REGS: usize = 11;

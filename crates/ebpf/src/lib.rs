@@ -14,14 +14,10 @@
 //!   programs (constant folding, load CSE, dead-store elimination,
 //!   jump threading, idiom rewrites) before verification, behind a
 //!   re-verify gate.
-//! - [`program`]: [`program::LoadedProgram`], the verified artifact —
-//!   compiled to direct-threaded form at load time.
-//! - [`vm`]: the machine state, helpers and per-instruction/per-helper
-//!   cost accounting driven by [`linuxfp_sim::CostModel`], plus the
-//!   reference interpreter the parity suites use as an oracle.
-//! - [`compile`]: the load-time compiler (the simulated kernel JIT) and
-//!   the one engine the datapath runs, held to the interpreter's
-//!   outcomes and costs by the parity suites.
+//! - [`program`]: [`program::LoadedProgram`], the verified artifact.
+//! - [`vm`]: the machine state, helpers, per-instruction/per-helper
+//!   cost accounting driven by [`linuxfp_sim::CostModel`], and the
+//!   interpreter — the one engine that runs programs.
 //! - [`maps`]: hash/array/LPM/program-array maps; program arrays are the
 //!   tail-call mechanism behind atomic data-path swaps.
 //! - [`helpers`]: the [`helpers::HelperEnv`] boundary through which
@@ -46,7 +42,6 @@
 //! ```
 
 pub mod asm;
-pub mod compile;
 pub mod flowcache;
 pub mod helpers;
 pub mod hook;
@@ -59,7 +54,6 @@ pub mod vm;
 mod walk;
 
 pub use asm::Asm;
-pub use compile::CompiledProgram;
 pub use flowcache::{FlowCache, FlowKey};
 pub use hook::{Dispatcher, HookPoint};
 pub use insn::{Action, HelperId};

@@ -1,7 +1,6 @@
 //! Program objects: raw instruction sequences and verified, loadable
 //! programs.
 
-use crate::compile::CompiledProgram;
 use crate::insn::{HelperId, Insn};
 use crate::verifier::{Verified, VerifyError};
 use std::fmt;
@@ -47,7 +46,6 @@ impl Program {
 pub struct LoadedProgram {
     inner: Arc<Program>,
     cacheable: bool,
-    compiled: Arc<CompiledProgram>,
 }
 
 impl LoadedProgram {
@@ -68,7 +66,7 @@ impl LoadedProgram {
         Self::assemble(Program::new(name, verified.into_insns()))
     }
 
-    /// A program the verifier would reject, for driving the engines'
+    /// A program the verifier would reject, for driving the engine's
     /// defense-in-depth exits (faults, the instruction budget).
     #[cfg(test)]
     pub(crate) fn load_unverified(program: Program) -> Self {
@@ -80,20 +78,10 @@ impl LoadedProgram {
             Insn::Call { helper } => helper_is_cacheable(*helper),
             _ => true,
         });
-        // Compile eagerly at load time, mirroring the kernel JIT running
-        // right after verification: attach/swap never pays compile cost
-        // on the datapath, and an uncompiled loaded program cannot exist.
-        let compiled = Arc::new(CompiledProgram::compile(&program.insns));
         LoadedProgram {
             inner: Arc::new(program),
             cacheable,
-            compiled,
         }
-    }
-
-    /// The load-time-compiled (direct-threaded) form of this program.
-    pub fn compiled(&self) -> &CompiledProgram {
-        &self.compiled
     }
 
     /// The static cacheability contract: whether every helper this

@@ -1,6 +1,6 @@
-//! The eBPF machine and its reference interpreter: executes verified
-//! programs with cycle-accurate cost accounting and defense-in-depth
-//! runtime bounds checks.
+//! The eBPF machine and its interpreter, the one engine that runs
+//! programs: it executes verified programs with cycle-accurate cost
+//! accounting and defense-in-depth runtime bounds checks.
 //!
 //! Registers are plain `u64`s; pointers are tagged by their upper 32 bits
 //! ([`PACKET_BASE`], [`STACK_BASE`], [`CTX_BASE`]), which keeps pointer
@@ -11,13 +11,10 @@
 //! fast path *emerges* from the code the synthesizer produced instead of
 //! being a hard-wired constant.
 //!
-//! The datapath runs one engine: [`crate::compile`]'s pre-decoded form.
-//! [`run`] here decodes every instruction as it goes and serves no
-//! packets; it is the *reference oracle* the parity suites hold the
-//! compiled engine to — identical [`VmOutcome`]s (final register file
-//! included), byte-identical frames and identical [`CostTracker`]s. The
-//! shared [`Machine`], [`alu`], [`jump_taken`], and [`call_helper`]
-//! building blocks make divergence structurally hard.
+//! The price is the kernel JIT's, which is what the paper measured; the
+//! substrate interprets. [`Insn`] is already decoded (`i64` immediates,
+//! `i32` offsets, `u8` registers), so [`run`] dispatches each instruction
+//! with one `match` and no per-step decoding.
 
 use crate::helpers::HelperEnv;
 use crate::insn::{Action, AluOp, HelperId, Insn, JmpCond, MemSize, MAX_TAIL_CALLS, STACK_SIZE};
@@ -42,7 +39,7 @@ pub const CTX_BASE: u64 = 0x3_0000_0000;
 
 /// Hard cap on executed instructions per invocation (the verifier already
 /// guarantees termination; this is a backstop for tail-call chains).
-pub(crate) const INSN_BUDGET: u64 = 1_000_000;
+const INSN_BUDGET: u64 = 1_000_000;
 
 /// Runtime faults. The verifier makes these unreachable for loaded
 /// programs; they exist as defense in depth and surface as
@@ -129,27 +126,26 @@ pub struct VmOutcome {
     pub l7_uncacheable: bool,
     /// Division/modulo-by-zero events (Linux-defined results, not faults).
     pub div_zeros: u64,
-    /// The final register file — part of the interpreter-vs-compiled
-    /// parity oracle, so an engine divergence in any intermediate value
-    /// that reaches a register is observable, not just the verdict.
+    /// The final register file, so a test can pin any value a program
+    /// leaves in a register, not just the verdict.
     pub regs: [u64; 11],
 }
 
-pub(crate) struct Machine<'r> {
-    pub(crate) regs: [u64; 11],
-    pub(crate) stack: [u8; STACK_SIZE],
-    pub(crate) redirect: Option<IfIndex>,
-    pub(crate) to_user: bool,
-    pub(crate) l7_punt: bool,
-    pub(crate) l7_uncacheable: bool,
-    pub(crate) div_zeros: u64,
-    pub(crate) ctx: VmCtx<'r>,
+struct Machine<'r> {
+    regs: [u64; 11],
+    stack: [u8; STACK_SIZE],
+    redirect: Option<IfIndex>,
+    to_user: bool,
+    l7_punt: bool,
+    l7_uncacheable: bool,
+    div_zeros: u64,
+    ctx: VmCtx<'r>,
 }
 
 impl<'r> Machine<'r> {
     /// A fresh machine in the state a program entry expects: r1 = ctx,
     /// r10 = frame pointer, everything else zero.
-    pub(crate) fn new(ctx: VmCtx<'r>) -> Self {
+    fn new(ctx: VmCtx<'r>) -> Self {
         let mut m = Machine {
             regs: [0; 11],
             stack: [0; STACK_SIZE],
@@ -165,7 +161,7 @@ impl<'r> Machine<'r> {
         m
     }
 
-    pub(crate) fn read_mem(&self, addr: u64, size: MemSize) -> Result<u64, VmError> {
+    fn read_mem(&self, addr: u64, size: MemSize) -> Result<u64, VmError> {
         let n = size.bytes();
         match addr & 0xFFFF_FFFF_0000_0000 {
             PACKET_BASE => {
@@ -202,12 +198,7 @@ impl<'r> Machine<'r> {
         }
     }
 
-    pub(crate) fn write_mem(
-        &mut self,
-        addr: u64,
-        size: MemSize,
-        value: u64,
-    ) -> Result<(), VmError> {
+    fn write_mem(&mut self, addr: u64, size: MemSize, value: u64) -> Result<(), VmError> {
         let n = size.bytes();
         match addr & 0xFFFF_FFFF_0000_0000 {
             PACKET_BASE => {
@@ -256,14 +247,11 @@ fn write_le(b: &mut [u8], value: u64) {
     b.copy_from_slice(&v[..b.len()]);
 }
 
-/// Executes a loaded program to completion on the reference interpreter.
+/// Executes a loaded program to completion.
 ///
 /// `maps` provides tail-call program arrays and data maps; `env` is the
 /// kernel (or [`crate::helpers::NullEnv`]); costs are charged to
-/// `tracker` at the compiled engine's prices, so the two runs of one
-/// input leave identical trackers. The datapath runs
-/// [`crate::compile::run`]; this function is the oracle it is checked
-/// against.
+/// `tracker`. Every packet a hook serves runs here.
 pub fn run(
     prog: &LoadedProgram,
     ctx: VmCtx<'_>,
@@ -279,15 +267,10 @@ pub fn run(
     let mut tail_calls = 0u64;
     let mut helper_calls = 0u64;
 
-    let outcome = loop {
+    // `None` on a normal exit, the fault otherwise.
+    let error = loop {
         if executed >= INSN_BUDGET {
-            break fault(
-                VmError::BudgetExhausted,
-                &m,
-                executed,
-                tail_calls,
-                helper_calls,
-            );
+            break Some(VmError::BudgetExhausted);
         }
         let insn = cur.insns()[pc];
         executed += 1;
@@ -333,7 +316,7 @@ pub fn run(
                 let addr = m.regs[src as usize].wrapping_add(off as i64 as u64);
                 match m.read_mem(addr, size) {
                     Ok(v) => m.regs[dst as usize] = v,
-                    Err(e) => break fault(e, &m, executed, tail_calls, helper_calls),
+                    Err(e) => break Some(e),
                 }
             }
             Insn::Store {
@@ -345,7 +328,7 @@ pub fn run(
                 let addr = m.regs[dst as usize].wrapping_add(off as i64 as u64);
                 let v = m.regs[src as usize];
                 if let Err(e) = m.write_mem(addr, size, v) {
-                    break fault(e, &m, executed, tail_calls, helper_calls);
+                    break Some(e);
                 }
             }
             Insn::StoreImm {
@@ -356,13 +339,13 @@ pub fn run(
             } => {
                 let addr = m.regs[dst as usize].wrapping_add(off as i64 as u64);
                 if let Err(e) = m.write_mem(addr, size, imm as u64) {
-                    break fault(e, &m, executed, tail_calls, helper_calls);
+                    break Some(e);
                 }
             }
             Insn::Call { helper } => {
                 helper_calls += 1;
                 if let Err(e) = call_helper(helper, &mut m, env, maps, cost, tracker) {
-                    break fault(e, &m, executed, tail_calls, helper_calls);
+                    break Some(e);
                 }
             }
             Insn::TailCall { prog_array, index } => {
@@ -384,23 +367,35 @@ pub fn run(
                 }
                 // Missing slot or depth exceeded: fall through.
             }
-            Insn::Exit => {
-                break finish(&m, executed, tail_calls, helper_calls);
-            }
+            Insn::Exit => break None,
         }
     };
     // Counted in the loop, priced here: every exit path pays for exactly
     // the instructions it executed, tail-called programs included.
     tracker.charge_n(Stage::JitInsn, cost.jit_insn_ns, executed);
-    outcome
+    let ok = error.is_none();
+    VmOutcome {
+        action: if ok {
+            Action::from_code(m.regs[0])
+        } else {
+            Action::Aborted
+        },
+        redirect: m.redirect.filter(|_| ok),
+        insns_executed: executed,
+        tail_calls,
+        helper_calls,
+        error,
+        to_user: ok && m.to_user,
+        l7_punt: ok && m.l7_punt,
+        l7_uncacheable: ok && m.l7_uncacheable,
+        div_zeros: m.div_zeros,
+        regs: m.regs,
+    }
 }
 
-/// The harness entry to either engine: `jit` runs the compiled form
-/// ([`crate::compile::run`], what the datapath runs), otherwise the
-/// reference interpreter ([`run`]). The two are observationally
-/// identical and charge identical costs — the parity suites enforce it —
-/// so the flag only chooses which code a test or host-clock probe
-/// exercises.
+/// [`run`], with an ignored `jit` argument kept only for the benchmark
+/// harness that still passes it. The argument goes with ROADMAP item 1's
+/// change to that harness.
 pub fn execute(
     prog: &LoadedProgram,
     ctx: VmCtx<'_>,
@@ -408,58 +403,9 @@ pub fn execute(
     maps: &MapStore,
     cost: &CostModel,
     tracker: &mut CostTracker,
-    jit: bool,
+    _jit: bool,
 ) -> VmOutcome {
-    if jit {
-        crate::compile::run(prog, ctx, env, maps, cost, tracker)
-    } else {
-        run(prog, ctx, env, maps, cost, tracker)
-    }
-}
-
-pub(crate) fn fault(
-    error: VmError,
-    m: &Machine<'_>,
-    insns_executed: u64,
-    tail_calls: u64,
-    helper_calls: u64,
-) -> VmOutcome {
-    VmOutcome {
-        action: Action::Aborted,
-        redirect: None,
-        insns_executed,
-        tail_calls,
-        helper_calls,
-        error: Some(error),
-        to_user: false,
-        l7_punt: false,
-        l7_uncacheable: false,
-        div_zeros: m.div_zeros,
-        regs: m.regs,
-    }
-}
-
-/// The normal-exit outcome, shared by both engines so parity holds by
-/// construction for everything the machine carries.
-pub(crate) fn finish(
-    m: &Machine<'_>,
-    insns_executed: u64,
-    tail_calls: u64,
-    helper_calls: u64,
-) -> VmOutcome {
-    VmOutcome {
-        action: Action::from_code(m.regs[0]),
-        redirect: m.redirect,
-        insns_executed,
-        tail_calls,
-        helper_calls,
-        error: None,
-        to_user: m.to_user,
-        l7_punt: m.l7_punt,
-        l7_uncacheable: m.l7_uncacheable,
-        div_zeros: m.div_zeros,
-        regs: m.regs,
-    }
+    run(prog, ctx, env, maps, cost, tracker)
 }
 
 /// One ALU operation with Linux BPF runtime semantics: wrapping
@@ -509,7 +455,7 @@ pub(crate) fn jump_taken(cond: JmpCond, dst: u64, src: u64) -> bool {
     }
 }
 
-pub(crate) fn call_helper(
+fn call_helper(
     helper: HelperId,
     m: &mut Machine<'_>,
     env: &mut dyn HelperEnv,
@@ -779,51 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn arsh_is_signed() {
-        let mut a = Asm::new();
-        a.mov_imm(0, -8);
-        a.alu_imm(AluOp::Arsh, 0, 2);
-        // r0 = -2 -> unknown action code -> Aborted (not a fault).
-        a.exit();
-        let prog = load(a, "arsh");
-        let mut pkt = vec![0u8; 64];
-        let (out, _) = run_prog(&prog, &mut pkt);
-        assert_eq!(out.action, Action::Aborted);
-        assert!(out.error.is_none());
-    }
-
-    #[test]
-    fn div_by_zero_follows_linux_semantics() {
-        // BPF_DIV by zero: dst = 0. The program keeps running.
-        let mut a = Asm::new();
-        a.mov_imm(0, 7);
-        a.mov_imm(2, 0);
-        a.alu_reg(AluOp::Div, 0, 2); // r0 = 7 / 0 -> 0
-        a.alu_imm(AluOp::Add, 0, 2); // r0 = 2 = PASS
-        a.exit();
-        let prog = load(a, "div0");
-        let mut pkt = vec![0u8; 64];
-        let (out, _) = run_prog(&prog, &mut pkt);
-        assert_eq!(out.action, Action::Pass);
-        assert!(out.error.is_none());
-        assert_eq!(out.div_zeros, 1);
-
-        // BPF_MOD by zero: dst unchanged.
-        let mut a = Asm::new();
-        a.mov_imm(0, 2);
-        a.mov_imm(2, 0);
-        a.alu_reg(AluOp::Mod, 0, 2); // r0 stays 2 = PASS
-        a.exit();
-        let prog = load(a, "mod0");
-        let mut pkt = vec![0u8; 64];
-        let (out, _) = run_prog(&prog, &mut pkt);
-        assert_eq!(out.action, Action::Pass);
-        assert!(out.error.is_none());
-        assert_eq!(out.div_zeros, 1);
-        assert_eq!(out.regs[0], 2);
-    }
-
-    #[test]
     fn packet_reads_and_writes() {
         // Read byte 12, increment it, write it back, return PASS.
         let mut a = Asm::new();
@@ -894,21 +795,6 @@ mod tests {
         let prog = load(a, "stack");
         let mut pkt = vec![0u8; 64];
         assert_eq!(run_prog(&prog, &mut pkt).0.action, Action::Pass);
-    }
-
-    #[test]
-    fn redirect_helper_sets_target() {
-        let mut a = Asm::new();
-        a.mov_imm(1, 7); // target ifindex
-        a.mov_imm(2, 0); // flags
-        a.call(HelperId::Redirect);
-        a.exit(); // r0 already holds XDP_REDIRECT
-        let prog = load(a, "redir");
-        let mut pkt = vec![0u8; 64];
-        let (out, t) = run_prog(&prog, &mut pkt);
-        assert_eq!(out.action, Action::Redirect);
-        assert_eq!(out.redirect, Some(IfIndex(7)));
-        assert_eq!(t.stage_count("helper_redirect"), 1);
     }
 
     #[test]
@@ -1007,69 +893,41 @@ mod tests {
         );
     }
 
+    /// A fault aborts the run and still pays for every instruction it
+    /// executed. The verifier rejects both programs, so they load
+    /// unverified.
     #[test]
-    fn tail_calls_transfer_control_and_charge() {
-        let maps = MapStore::new();
-        let pa = maps.create_prog_array(4);
-        // Target program: return DROP.
-        let mut t = Asm::new();
-        t.mov_imm(0, Action::Drop.code() as i64);
-        t.exit();
-        let target = load(t, "target");
-        maps.prog_array_set(pa, 2, Some(target)).unwrap();
-        // Caller: tail-call slot 2; if it falls through, PASS.
-        let mut c = Asm::new();
-        c.mov_imm(0, Action::Pass.code() as i64);
-        c.tail_call(pa.0, 2);
-        c.exit();
-        let caller = load(c, "caller");
-        let cost = CostModel::calibrated();
-        let mut tracker = CostTracker::new();
-        let mut pkt = vec![0u8; 64];
-        let ctx = VmCtx::xdp(&mut pkt, 1, 0);
-        let out = run(&caller, ctx, &mut NullEnv, &maps, &cost, &mut tracker);
-        assert_eq!(out.action, Action::Drop);
-        assert_eq!(out.tail_calls, 1);
-        assert_eq!(tracker.stage_count("tail_call"), 1);
-    }
-
-    #[test]
-    fn missing_tail_call_slot_falls_through() {
-        let maps = MapStore::new();
-        let pa = maps.create_prog_array(4);
-        let mut c = Asm::new();
-        c.mov_imm(0, Action::Pass.code() as i64);
-        c.tail_call(pa.0, 0); // empty slot
-        c.exit();
-        let caller = load(c, "caller");
-        let cost = CostModel::calibrated();
-        let mut tracker = CostTracker::new();
-        let mut pkt = vec![0u8; 64];
-        let ctx = VmCtx::xdp(&mut pkt, 1, 0);
-        let out = run(&caller, ctx, &mut NullEnv, &maps, &cost, &mut tracker);
-        assert_eq!(out.action, Action::Pass);
-        assert_eq!(out.tail_calls, 0);
-    }
-
-    #[test]
-    fn tail_call_depth_is_limited() {
-        let maps = MapStore::new();
-        let pa = maps.create_prog_array(1);
-        // A program that tail-calls itself; after 33 calls it falls
-        // through and exits with PASS.
-        let mut a = Asm::new();
-        a.mov_imm(0, Action::Pass.code() as i64);
-        a.tail_call(pa.0, 0);
-        a.exit();
-        let prog = load(a, "selfcall");
-        maps.prog_array_set(pa, 0, Some(prog.clone())).unwrap();
-        let cost = CostModel::calibrated();
-        let mut tracker = CostTracker::new();
-        let mut pkt = vec![0u8; 64];
-        let ctx = VmCtx::xdp(&mut pkt, 1, 0);
-        let out = run(&prog, ctx, &mut NullEnv, &maps, &cost, &mut tracker);
-        assert_eq!(out.action, Action::Pass);
-        assert_eq!(out.tail_calls, u64::from(MAX_TAIL_CALLS));
+    fn faults_abort_and_charge_the_instructions_executed() {
+        let mov_r2_0 = Insn::AluImm {
+            op: AluOp::Mov,
+            dst: 2,
+            imm: 0,
+        };
+        let load_r2 = Insn::Load {
+            size: MemSize::B,
+            dst: 0,
+            src: 2,
+            off: 0,
+        };
+        let cases = [
+            (
+                vec![mov_r2_0, load_r2, Insn::Exit],
+                VmError::BadAccess(0),
+                2,
+            ),
+            (
+                vec![Insn::Ja { off: -1 }],
+                VmError::BudgetExhausted,
+                INSN_BUDGET,
+            ),
+        ];
+        for (insns, error, executed) in cases {
+            let prog = LoadedProgram::load_unverified(Program::new("bad", insns));
+            let (out, t) = run_prog(&prog, &mut vec![0u8; 64]);
+            assert_eq!((out.action, out.error), (Action::Aborted, Some(error)));
+            assert_eq!(out.insns_executed, executed);
+            assert_eq!(t.stage_count("jit_insn"), executed);
+        }
     }
 
     #[test]

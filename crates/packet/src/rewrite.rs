@@ -22,14 +22,19 @@ use std::net::Ipv4Addr;
 /// *same* for every packet of a flow even though the checksums
 /// themselves differ packet to packet (the IPv4 id field varies, but the
 /// field rewrites it absorbs are constant).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Both are stored inline: no field [`derive_ops`] accepts is longer than
+/// a MAC address, so recording a flow allocates no byte vectors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RewriteOp {
-    /// Overwrite `frame[off..off + bytes.len()]` with `bytes`.
+    /// Overwrite `frame[off..off + len]` with `bytes[..len]`.
     Set {
         /// Absolute frame offset.
         off: usize,
-        /// Replacement bytes.
-        bytes: Vec<u8>,
+        /// How many of `bytes` are replacement bytes.
+        len: u8,
+        /// Replacement bytes, zero past `len`.
+        bytes: [u8; SET_MAX],
     },
     /// Incrementally adjust the big-endian checksum word at `off` by a
     /// constant one's-complement delta.
@@ -39,6 +44,22 @@ pub enum RewriteOp {
         /// One's-complement delta: `new = !fold(!old + delta)`.
         delta: u16,
     },
+}
+
+/// The longest field a [`RewriteOp::Set`] can overwrite: a MAC address.
+pub const SET_MAX: usize = 6;
+
+impl RewriteOp {
+    /// An op that overwrites `src.len()` (at most [`SET_MAX`]) bytes at `off`.
+    fn set(off: usize, src: &[u8]) -> Self {
+        let mut bytes = [0; SET_MAX];
+        bytes[..src.len()].copy_from_slice(src);
+        RewriteOp::Set {
+            off,
+            len: src.len() as u8,
+            bytes,
+        }
+    }
 }
 
 /// The one's-complement delta that turns checksum `old` into `new`
@@ -55,7 +76,8 @@ fn csum_delta(old: u16, new: u16) -> u16 {
 pub fn apply_ops(frame: &mut [u8], ops: &[RewriteOp]) {
     for op in ops {
         match op {
-            RewriteOp::Set { off, bytes } => {
+            RewriteOp::Set { off, len, bytes } => {
+                let bytes = &bytes[..usize::from(*len)];
                 if frame.len() >= off + bytes.len() {
                     frame[*off..off + bytes.len()].copy_from_slice(bytes);
                 }
@@ -132,10 +154,7 @@ pub fn derive_ops(before: &[u8], after: &[u8], l3: usize) -> Option<Vec<RewriteO
             nat_rewrite = true;
         }
         match kind {
-            0 => ops.push(RewriteOp::Set {
-                off: start,
-                bytes: after[start..end].to_vec(),
-            }),
+            0 => ops.push(RewriteOp::set(start, &after[start..end])),
             _ => ops.push(RewriteOp::CsumAdd {
                 off: start,
                 delta: csum_delta(word(before, start), word(after, start)),
@@ -150,10 +169,7 @@ pub fn derive_ops(before: &[u8], after: &[u8], l3: usize) -> Option<Vec<RewriteO
     // nothing, but later packets of the flow may carry nonzero checksums
     // (payload varies), so the clear must be recorded unconditionally.
     if is_udp && nat_rewrite && before.len() >= l4 + 8 {
-        let clear = RewriteOp::Set {
-            off: l4 + 6,
-            bytes: vec![0, 0],
-        };
+        let clear = RewriteOp::set(l4 + 6, &[0, 0]);
         if !ops.contains(&clear) {
             ops.retain(|op| !matches!(op, RewriteOp::Set { off, .. } if *off == l4 + 6));
             ops.push(clear);

@@ -33,12 +33,11 @@
 //! including the `bpf_fib_lookup` helper, Linux forwarding stack beyond the
 //! `sk_buff` ≈ 193 ns). The eBPF program cost is *not* a constant here: it
 //! emerges from executing the synthesized bytecode at
-//! [`CostModel::jit_insn_ns`] per instruction (compiled dispatch — the
-//! deployment the paper measured, since production kernels JIT every
-//! loaded program) plus per-helper prices, so experiments such as Fig. 10
-//! (function calls vs. tail calls) measure the mechanism rather than a
-//! hard-coded answer. There is one per-instruction price: the reference
-//! interpreter, kept only as a test oracle, charges it too.
+//! [`CostModel::jit_insn_ns`] per instruction (JIT-compiled dispatch —
+//! the deployment the paper measured, since production kernels JIT every
+//! loaded program; the substrate interprets and charges that price) plus
+//! per-helper prices, so experiments such as Fig. 10 (function calls vs.
+//! tail calls) measure the mechanism rather than a hard-coded answer.
 
 use crate::Stage;
 use std::fmt;
@@ -129,8 +128,8 @@ pub struct CostModel {
     pub icmp_error_ns: f64,
 
     // ---- eBPF runtime ----
-    /// Executing one instruction of a load-time-compiled (direct-threaded)
-    /// program, charged under the `jit_insn` stage. Calibrated to the
+    /// Executing one instruction of a JIT-compiled program, charged under
+    /// the `jit_insn` stage by the interpreter. Calibrated to the
     /// seed's per-instruction price: the paper's deployed programs ran
     /// under the kernel JIT, so the original calibration already priced
     /// compiled dispatch.
@@ -608,7 +607,7 @@ impl fmt::Debug for CostTracker {
 }
 
 /// Equal when the totals and every stage's count and sum agree, whatever
-/// order the charges came in — the engine-parity oracle's cost check.
+/// order the charges came in.
 impl PartialEq for CostTracker {
     fn eq(&self, other: &Self) -> bool {
         self.total_fs == other.total_fs && self.stages().eq(other.stages())

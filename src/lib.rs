@@ -10,7 +10,7 @@
 //! - [`netstack`] — the simulated Linux kernel networking stack (the slow
 //!   path): bridging, routing, netfilter, conntrack, netlink.
 //! - [`ebpf`] — the simulated eBPF runtime: bytecode, verifier,
-//!   load-time compiler, maps, helpers, XDP/TC hooks, tail calls.
+//!   interpreter, maps, helpers, XDP/TC hooks, tail calls.
 //! - [`packet`] — packet parsing/building.
 //! - [`platforms`] — Linux, LinuxFP, Polycube-style and VPP-style
 //!   platforms behind one measurement interface.

@@ -4,8 +4,9 @@
 //! flags, cost trackers, per-shard times, effects — allocate nothing. A
 //! warm pod-to-pod send allocates six times, each a frame or a queue it
 //! needs. Recording a router flow allocates for the diff and the entry,
-//! not for an empty helper log. This binary installs its own counting allocator, so the
-//! property is held by the tier-1 suite, not only by the benchmark.
+//! not for its rewrite bytes or an empty helper log. This binary
+//! installs its own counting allocator, so the property is held by the
+//! tier-1 suite, not only by the benchmark.
 
 use linuxfp::netstack::stack::Effect;
 use linuxfp::packet::{builder, Batch, BufferPool};
@@ -204,7 +205,7 @@ fn a_warm_pod_to_pod_send_allocates_six_times() {
 }
 
 #[test]
-fn an_admitted_router_recording_allocates_seven_times() {
+fn an_admitted_router_recording_allocates_four_times() {
     let s = Scenario::router();
     let mut platform = LinuxFpPlatform::new(s);
     let frame = s.frame(platform.dut_mac(), 0, 60);
@@ -227,7 +228,8 @@ fn an_admitted_router_recording_allocates_seven_times() {
         "then a hit: the outcome vector"
     );
     // The outcome vector, the frame copy the diff reads, and the entry:
-    // its box, its rewrite ops and their bytes. A router program logs no
-    // helper touch, so its empty log allocates nothing.
-    assert_eq!(recording, (7, 0));
+    // its box and its rewrite ops. The ops hold their bytes inline, and a
+    // router program logs no helper touch, so its empty log allocates
+    // nothing.
+    assert_eq!(recording, (4, 0));
 }
