@@ -1,6 +1,6 @@
-//! The benchmark harness: one function per table and figure of the
-//! LinuxFP paper's evaluation, each returning a printable
-//! [`table::ExperimentTable`].
+//! The paper-artifact harness: one function per table, figure and
+//! ablation of the LinuxFP paper's evaluation, each returning a
+//! printable [`table::ExperimentTable`].
 //!
 //! Run everything with the `repro` binary:
 //!
@@ -12,6 +12,7 @@
 //! | id | paper artifact | function |
 //! |---|---|---|
 //! | `fig1` | Fig. 1 flame graph | [`control::fig1_flame_profile`] |
+//! | `table1` | Table I acceleration model | [`control::table1_acceleration_model`] |
 //! | `table2` | Table II platform comparison | [`control::table2_platform_comparison`] |
 //! | `fig5` | Fig. 5 router throughput vs cores | [`vnf::fig5_router_throughput`] |
 //! | `table3` | Table III router RTT | [`vnf::table3_router_latency`] |
@@ -24,18 +25,14 @@
 //! | `table6` | Table VI reaction time | [`control::table6_reaction_time`] |
 //! | `fig10` | Fig. 10 calls vs tail calls | [`hooks::fig10_call_vs_tailcall`] |
 //! | `table7` | Table VII XDP vs TC | [`hooks::table7_hook_comparison`] |
+//! | `ablation_state` | state-sharing ablation | [`ablations::ablation_state_sharing`] |
+//! | `ablation_minimal` | minimality ablation | [`ablations::ablation_minimality`] |
 
 pub mod ablations;
-pub mod batch;
 pub mod control;
-pub mod cores;
-pub mod flow_cache;
 pub mod hooks;
-pub mod l7;
-pub mod opt;
 pub mod pods;
 pub mod table;
-pub mod trace;
 pub mod vnf;
 
 pub use table::ExperimentTable;
@@ -59,12 +56,6 @@ pub fn run_experiment(id: &str) -> Option<ExperimentTable> {
         "table7" => hooks::table7_hook_comparison(),
         "ablation_state" => ablations::ablation_state_sharing(16),
         "ablation_minimal" => ablations::ablation_minimality(),
-        "batch_sweep" => batch::batch_sweep(),
-        "core_scaling" => cores::core_scaling_experiment(),
-        "flow_cache" => flow_cache::flow_cache_experiment(),
-        "trace_breakdown" => trace::trace_breakdown_experiment(),
-        "l7_gateway" => l7::l7_gateway_experiment(),
-        "opt_dispatch" => opt::opt_dispatch_experiment(),
         _ => return None,
     })
 }
@@ -88,12 +79,6 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "table7",
     "ablation_state",
     "ablation_minimal",
-    "batch_sweep",
-    "core_scaling",
-    "flow_cache",
-    "trace_breakdown",
-    "l7_gateway",
-    "opt_dispatch",
 ];
 
 #[cfg(test)]
@@ -109,6 +94,6 @@ mod tests {
             assert!(!t.rows.is_empty(), "{id} produced no rows");
         }
         assert!(run_experiment("fig99").is_none());
-        assert_eq!(ALL_EXPERIMENTS.len(), 22);
+        assert_eq!(ALL_EXPERIMENTS.len(), 16);
     }
 }

@@ -102,7 +102,8 @@ pub fn synthesize_with_customs(
 }
 
 /// Synthesizes a single-interface pipeline directly (bypassing the JSON
-/// model); used by microbenchmarks and ablations.
+/// model); used by the minimality ablation, the optimizer's shrink
+/// floors and `linuxfp_opt_dump`.
 ///
 /// # Errors
 ///

@@ -19,8 +19,8 @@ use std::net::Ipv4Addr;
 
 /// Kernel facilities available to helper implementations.
 ///
-/// Implemented for [`Kernel`] (production) and by [`NullEnv`] (tests and
-/// standalone microbenchmarks, where every lookup misses).
+/// Implemented for [`Kernel`] (production) and by [`NullEnv`] (tests,
+/// where every lookup misses).
 pub trait HelperEnv {
     /// Current virtual time (`bpf_ktime_get_ns`).
     fn env_now(&self) -> Nanos;
@@ -143,7 +143,7 @@ impl HelperEnv for Kernel {
 }
 
 /// A helper environment with no kernel behind it: time is zero and every
-/// lookup misses. Useful for unit tests and the VM microbenchmarks.
+/// lookup misses. Useful for unit tests of the VM and the optimizer.
 #[derive(Debug, Default)]
 pub struct NullEnv;
 

@@ -629,11 +629,6 @@ impl BatchOutcome {
         self.batch_cost.total_ns() + self.outcomes.iter().map(|o| o.cost.total_ns()).sum::<f64>()
     }
 
-    /// Average per-packet service time for the burst.
-    pub fn per_packet_ns(&self) -> f64 {
-        self.total_ns() / self.batch_size.max(1) as f64
-    }
-
     /// Wall-clock virtual time for the burst under parallel shard
     /// execution: the slowest shard's time (shards process their queues
     /// concurrently). Equals [`BatchOutcome::total_ns`] when unsharded.
@@ -743,11 +738,6 @@ impl Kernel {
     /// The telemetry registry, if [`Kernel::set_telemetry`] was called.
     pub fn telemetry(&self) -> Option<&Registry> {
         self.telemetry.as_ref().map(|t| &t.registry)
-    }
-
-    /// Replaces the cost model (for ablation experiments).
-    pub fn set_cost_model(&mut self, cost: CostModel) {
-        self.cost = Arc::new(cost);
     }
 
     /// The active cost model.
@@ -1043,11 +1033,6 @@ impl Kernel {
     /// Read access to a bridge.
     pub fn bridge(&self, bridge: IfIndex) -> Option<&Bridge> {
         self.bridges.get(&bridge)
-    }
-
-    /// Indexes of all bridges.
-    pub fn bridge_indices(&self) -> Vec<IfIndex> {
-        self.bridges.keys().copied().collect()
     }
 
     /// Sets a link up (`ip link set <dev> up`).
@@ -1409,11 +1394,6 @@ impl Kernel {
         ring
     }
 
-    /// The flight-recorder span ring, if enabled.
-    pub fn trace_ring(&self) -> Option<TraceRing> {
-        self.recorder.as_ref().map(FlightRecorder::ring)
-    }
-
     /// Records a housekeeping marker span when the recorder is active.
     pub(crate) fn record_housekeeping_span(&self, report: &HousekeepingReport) {
         if let Some(recorder) = &self.recorder {
@@ -1624,11 +1604,6 @@ impl Kernel {
         self.devices.get(&dev)
     }
 
-    /// Number of devices.
-    pub fn device_count(&self) -> usize {
-        self.devices.len()
-    }
-
     // ------------------------------------------------------------------
     // Hook attachment (XDP / TC)
     // ------------------------------------------------------------------
@@ -1669,14 +1644,6 @@ impl Kernel {
         d.has_tc_ingress = true;
         self.tc_hooks.insert(dev, hook);
         Ok(())
-    }
-
-    /// Detaches any TC ingress program from a device.
-    pub fn detach_tc_ingress(&mut self, dev: IfIndex) {
-        if let Some(d) = self.devices.get_mut(&dev) {
-            d.has_tc_ingress = false;
-        }
-        self.tc_hooks.remove(&dev);
     }
 
     // ------------------------------------------------------------------

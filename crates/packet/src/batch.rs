@@ -57,11 +57,6 @@ impl Batch {
     pub fn drain(&mut self) -> std::vec::Drain<'_, PacketBuf> {
         self.bufs.drain(..)
     }
-
-    /// Consumes the batch into its frames.
-    pub fn into_bufs(self) -> Vec<PacketBuf> {
-        self.bufs
-    }
 }
 
 impl From<Vec<PacketBuf>> for Batch {

@@ -156,44 +156,6 @@ pub fn tcp_packet(
     frame
 }
 
-/// The in-place variant of [`tcp_packet`] for pooled measurement loops.
-#[allow(clippy::too_many_arguments)]
-pub fn tcp_packet_into(
-    src_mac: MacAddr,
-    dst_mac: MacAddr,
-    src_ip: Ipv4Addr,
-    dst_ip: Ipv4Addr,
-    src_port: u16,
-    dst_port: u16,
-    flags: TcpFlags,
-    payload: &[u8],
-    buf: &mut Vec<u8>,
-) {
-    let ip_len = IPV4_MIN_HLEN + TCP_MIN_HLEN + payload.len();
-    buf.clear();
-    buf.resize(ETH_HLEN + ip_len, 0);
-    EthernetFrame::write(buf, dst_mac, src_mac, EtherType::Ipv4);
-    Ipv4Header::write(
-        &mut buf[ETH_HLEN..],
-        src_ip,
-        dst_ip,
-        IpProto::Tcp,
-        DEFAULT_TTL,
-        0,
-        ip_len as u16,
-        true,
-    );
-    TcpHeader::write(
-        &mut buf[ETH_HLEN + IPV4_MIN_HLEN..],
-        src_port,
-        dst_port,
-        0,
-        0,
-        flags,
-    );
-    buf[ETH_HLEN + IPV4_MIN_HLEN + TCP_MIN_HLEN..].copy_from_slice(payload);
-}
-
 /// Builds `eth / ipv4 / icmp-echo-request`.
 pub fn icmp_echo_request(
     src_mac: MacAddr,

@@ -283,9 +283,13 @@ mod tests {
         }
         let injected = frames.len() as u64;
         let mut denies = 0;
+        // Service ns per stream: (Linux, LinuxFP) summed over each i%6.
+        let mut ns = [(0.0, 0.0); 6];
         for (i, frame) in frames.into_iter().enumerate() {
             let out_l = linux.process(frame.clone());
             let out_f = lfp.process(frame);
+            ns[i % 6].0 += out_l.cost.total_ns();
+            ns[i % 6].1 += out_f.cost.total_ns();
             assert_eq!(
                 out_l.transmissions(),
                 out_f.transmissions(),
@@ -298,6 +302,17 @@ mod tests {
         }
         // i%6∈{2,5} are denied (pinned verdict covers the follow-up).
         assert_eq!(denies, 8, "deny verdicts");
+
+        // Per request: an allowed GET judged in the hook beats the same
+        // GET on Linux, and a punted one pays the fast-path attempt on
+        // top of the slow path.
+        let offloaded = (ns[0].1 + ns[1].1) / 8.0;
+        let stock = (ns[0].0 + ns[1].0) / 8.0;
+        let punted = ns[3].1 / 4.0;
+        assert!(
+            offloaded < stock && stock < punted,
+            "want offloaded {offloaded:.1} < Linux {stock:.1} < punted {punted:.1} ns"
+        );
 
         // Conservation: every injected frame either hit a fast path or
         // fell back — none vanished.

@@ -175,25 +175,6 @@ impl Scenario {
         )
     }
 
-    /// The in-place variant of [`Scenario::http_frame`].
-    pub fn fill_http_frame(&self, dut_mac: MacAddr, i: u64, payload: &[u8], buf: &mut Vec<u8>) {
-        builder::tcp_packet_into(
-            SOURCE_MAC,
-            dut_mac,
-            Ipv4Addr::new(10, 0, 1, 100),
-            self.allowed_dst(i),
-            (1024 + (i % 512)) as u16,
-            80,
-            TcpFlags {
-                psh: true,
-                ack: true,
-                ..TcpFlags::default()
-            },
-            payload,
-            buf,
-        );
-    }
-
     /// Builds the workload frame for flow `i` with the given total frame
     /// length (excluding FCS), addressed to the DUT's upstream MAC.
     pub fn frame(&self, dut_mac: MacAddr, i: u64, frame_len: usize) -> Vec<u8> {
@@ -230,27 +211,6 @@ impl Scenario {
             SOURCE_MAC,
             dut_mac,
             Ipv4Addr::new(10, 0, 1, 100),
-            self.allowed_dst(i),
-            (1024 + (i % 512)) as u16,
-            4791,
-            frame_len,
-            buf,
-        );
-    }
-
-    /// The in-place variant of [`Scenario::client_frame`].
-    pub fn fill_client_frame(
-        &self,
-        dut_mac: MacAddr,
-        client: u8,
-        i: u64,
-        frame_len: usize,
-        buf: &mut Vec<u8>,
-    ) {
-        builder::udp_packet_sized_into(
-            SOURCE_MAC,
-            dut_mac,
-            Ipv4Addr::new(10, 0, 1, client),
             self.allowed_dst(i),
             (1024 + (i % 512)) as u16,
             4791,

@@ -72,12 +72,6 @@ impl CoreModel {
         let wire = line_rate_pps(self.line_rate_gbps, frame_len);
         cpu.min(wire)
     }
-
-    /// Whether the given configuration is line-rate limited rather than
-    /// CPU limited.
-    pub fn is_line_rate_limited(&self, service_ns: f64, cores: u32, frame_len: u32) -> bool {
-        self.throughput_pps(service_ns, cores) >= line_rate_pps(self.line_rate_gbps, frame_len)
-    }
 }
 
 #[cfg(test)]
@@ -115,12 +109,14 @@ mod tests {
         let one = m.throughput_pps_capped(565.0, 1, 1518);
         let gbps = crate::rate::gbps_from_pps(one, 1518);
         assert!(gbps > 20.0, "gbps {gbps}");
-        assert!(m.is_line_rate_limited(565.0, 2, 1518));
         let capped = m.throughput_pps_capped(565.0, 2, 1518);
         let wire = line_rate_pps(25.0, 1518);
         assert!((capped - wire).abs() < 1.0);
         // Minimum-size packets remain CPU limited on one core.
-        assert!(!m.is_line_rate_limited(565.0, 1, 64));
+        assert_eq!(
+            m.throughput_pps_capped(565.0, 1, 64),
+            m.throughput_pps(565.0, 1)
+        );
     }
 
     #[test]

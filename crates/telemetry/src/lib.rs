@@ -445,15 +445,6 @@ impl Registry {
         Registry::default()
     }
 
-    /// An empty registry whose event ring retains `capacity` events.
-    pub fn with_event_capacity(capacity: usize) -> Self {
-        Registry {
-            inner: Arc::default(),
-            events: EventRing::with_capacity(capacity),
-            collectors: Arc::default(),
-        }
-    }
-
     /// Runs `collector` before every read from now on, for as long as the
     /// caller keeps it alive (the registry holds it weakly).
     pub fn add_collector(&self, collector: &Collector) {

@@ -16,12 +16,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --workspace --release
 
-echo "==> cargo build --release --examples --benches"
-cargo build --workspace --release --examples --benches
+echo "==> cargo build --release --examples"
+cargo build --workspace --release --examples
 
 echo "==> cargo test"
-# Includes the thresholds of the `repro` experiments (the linuxfp-bench
-# unit tests and the root tests/opt_shrink.rs, which tier-1 runs too).
+# Includes the bounds of the `repro` paper artifacts and ablations (the
+# linuxfp-bench unit tests) and the root tests/opt_shrink.rs floors,
+# which tier-1 runs too.
 cargo test --workspace -q
 
 echo "==> benchmark crate: unit tests, then a release build and quick run (oracle byte-equality + ledger on all seven workloads)"

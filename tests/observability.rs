@@ -9,8 +9,9 @@ use linuxfp::netstack::nat::{NatChain, NatRule, NatTarget};
 use linuxfp::netstack::netfilter::{ChainHook, IptRule};
 use linuxfp::packet::builder;
 use linuxfp::packet::ipv4::IpProto;
+use linuxfp::platforms::scenario::SOURCE_MAC;
 use linuxfp::prelude::*;
-use linuxfp::telemetry::trace::{TraceEvent, TraceSpan};
+use linuxfp::telemetry::trace::{CostBreakdown, TraceEvent, TraceSpan};
 use linuxfp::telemetry::Scale;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -263,9 +264,35 @@ fn router_spans_conserve_stage_attribution() {
     for i in 0..8u64 {
         lfp.process(scenario.frame(mac, i, 60));
     }
+    // A frame for the DUT itself and one with a corrupt IPv4 checksum:
+    // both punt, one to local delivery and one to a drop.
+    lfp.process(builder::udp_packet(
+        SOURCE_MAC,
+        mac,
+        Ipv4Addr::new(10, 0, 1, 100),
+        Ipv4Addr::new(10, 0, 1, 1),
+        4000,
+        4791,
+        b"for the host",
+    ));
+    let mut corrupt = scenario.frame(mac, 8, 60);
+    corrupt[25] = !corrupt[25];
+    lfp.process(corrupt);
     let spans = ring.recent();
-    assert_eq!(spans.len(), 8, "1-in-1 sampling records every packet");
+    assert_eq!(spans.len(), 10, "1-in-1 sampling records every packet");
     assert_spans_conserve(&spans, "router");
+    // The breakdown `linuxfp_trace` prints puts every packet in exactly
+    // one regime/disposition group.
+    let breakdown = CostBreakdown::from_spans(&spans);
+    assert_eq!(breakdown.packets(), 10);
+    let groups: Vec<String> = breakdown
+        .rows()
+        .iter()
+        .map(|r| format!("{}/{}", r.0.as_str(), r.1))
+        .collect();
+    for want in ["fastpath/transmit", "punt/deliver", "punt/drop"] {
+        assert!(groups.iter().any(|g| g == want), "no {want} in {groups:?}");
+    }
     // The steady state must include fast-path spans, and those must
     // attribute the VM run.
     assert!(
