@@ -93,6 +93,9 @@ pub struct ReactionReport {
     pub removed: Vec<IfIndex>,
     /// Total FPM instances across all installed programs.
     pub fpm_count: usize,
+    /// Distinct programs the deployer built (0 when the graph did not
+    /// change); interfaces with identical programs share one build.
+    pub built: usize,
 }
 
 /// The controller daemon state.
@@ -327,6 +330,7 @@ impl Controller {
                 installed: Vec::new(),
                 removed: Vec::new(),
                 fpm_count,
+                built: 0,
             });
         }
 
@@ -350,6 +354,7 @@ impl Controller {
             installed: outcome.installed,
             removed: outcome.removed,
             fpm_count,
+            built: outcome.built,
         })
     }
 }

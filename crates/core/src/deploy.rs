@@ -9,8 +9,9 @@
 
 use crate::synth::SynthesizedFp;
 use linuxfp_ebpf::hook::{Dispatcher, HookPoint};
+use linuxfp_ebpf::insn::Insn;
 use linuxfp_ebpf::maps::MapStore;
-use linuxfp_ebpf::opt;
+use linuxfp_ebpf::opt::{self, OptStats};
 use linuxfp_ebpf::program::LoadedProgram;
 use linuxfp_ebpf::verifier::{Verified, VerifyError};
 use linuxfp_netstack::device::IfIndex;
@@ -69,6 +70,20 @@ pub struct DeployOutcome {
     /// Instructions removed by the bytecode optimizer across the
     /// programs swapped this round (0 with `net.linuxfp.opt=0`).
     pub opt_removed: usize,
+    /// Distinct programs built (optimized and verified) this round:
+    /// interfaces that synthesized identical instructions share one
+    /// build.
+    pub built: usize,
+}
+
+/// One distinct synthesized program and what building it produced.
+struct Build<'a> {
+    /// The synthesized instructions (the grouping key).
+    source: &'a [Insn],
+    /// The program every interface in the group loads.
+    verified: Verified,
+    /// Optimizer accounting (`None` with `net.linuxfp.opt=0`).
+    stats: Option<OptStats>,
 }
 
 /// Owns the per-interface dispatchers and performs atomic swaps.
@@ -92,9 +107,13 @@ impl Deployer {
     }
 
     /// Enables telemetry: dispatcher hit/fallback/VM counters, verifier
-    /// accept/reject tallies and swap trace events land in `registry`
-    /// (applies to existing and future dispatchers).
+    /// accept/reject tallies, build/share counts and swap trace events
+    /// land in `registry` (applies to existing and future dispatchers).
     pub fn set_telemetry(&mut self, registry: Registry) {
+        registry.describe(
+            "linuxfp_deploy_programs_total",
+            "Programs per deploy round that were built (optimized and verified) or shared an identical interface's build",
+        );
         registry.describe(
             "linuxfp_verifier_accepted_total",
             "Synthesized programs accepted by the in-kernel verifier",
@@ -157,15 +176,18 @@ impl Deployer {
         self.dispatchers.get(&ifindex).and_then(|d| d.installed())
     }
 
-    /// Deploys a full set of synthesized fast paths: verifies and loads
-    /// each program, attaches dispatchers on first use, swaps slots, and
-    /// uninstalls data paths for interfaces no longer in the set.
+    /// Deploys a full set of synthesized fast paths: builds (optimizes
+    /// and verifies) each distinct program once, loads it on every
+    /// interface that synthesized it, attaches dispatchers on first use,
+    /// swaps slots, and uninstalls data paths for interfaces no longer in
+    /// the set.
     ///
     /// # Errors
     ///
-    /// On the first verification or device failure; interfaces already
-    /// swapped in this round keep their new program (each swap is
-    /// individually atomic, as in the paper).
+    /// On the first verification failure, before any program is
+    /// swapped, or on a device failure; interfaces already swapped in
+    /// this round keep their new program (each swap is individually
+    /// atomic, as in the paper).
     pub fn deploy(
         &mut self,
         kernel: &mut Kernel,
@@ -186,25 +208,38 @@ impl Deployer {
         }
         outcome.removed.sort();
 
+        // Interfaces with the same configuration synthesize the same
+        // instructions (a router's NICs all run one pipeline), and a
+        // build is a pure function of them: build each distinct program
+        // once, as the kernel loads one program and attaches it to many
+        // hooks.
+        let opt = kernel.opt_enabled();
+        let mut builds: Vec<Build<'_>> = Vec::new();
+        let mut build_of = Vec::with_capacity(fps.len());
         for fp in fps {
-            // Run the synthesized program through the bytecode
-            // optimizer (sysctl-gated) before loading: the engine then
-            // runs the shrunk form. The optimizer verifies its
-            // input and its output, falls back to the input on any
-            // failure, and hands back the verifier's proof of what it
-            // returns — so a program is verified at most twice, and
-            // the optimizer cannot turn a loadable program into a
-            // rejected one.
-            let (checked, stats) = if kernel.opt_enabled() {
-                let (checked, stats) = opt::optimize_verified(&fp.program.insns);
-                (Some(checked), Some(stats))
-            } else {
-                (None, None)
+            let source = fp.program.insns.as_slice();
+            let i = match builds.iter().position(|b| b.source == source) {
+                Some(i) => i,
+                None => {
+                    builds.push(self.build(opt, fp)?);
+                    builds.len() - 1
+                }
             };
-            let effective = match &checked {
-                Some(Ok(verified)) => verified.insns(),
-                _ => fp.program.insns.as_slice(),
-            };
+            build_of.push(i);
+        }
+        outcome.built = builds.len();
+        if let Some(reg) = &self.telemetry {
+            reg.counter("linuxfp_deploy_programs_total", &[("result", "built")])
+                .add(builds.len() as u64);
+            reg.counter("linuxfp_deploy_programs_total", &[("result", "shared")])
+                .add((fps.len() - builds.len()) as u64);
+        }
+
+        for (fp, &i) in fps.iter().zip(&build_of) {
+            let Build {
+                verified, stats, ..
+            } = &builds[i];
+            let effective = verified.insns();
             // Unchanged program: leave the running data path alone (no
             // load/swap cost, no disturbance). Compared against the
             // *effective* instructions, so flipping the sysctl
@@ -215,44 +250,22 @@ impl Deployer {
                     continue;
                 }
             }
-            if let (Some(reg), Some(stats)) = (&self.telemetry, stats) {
-                let labels = [("fpm", fp.fpm_label.as_str())];
-                reg.counter("linuxfp_opt_insns_before_total", &labels)
-                    .add(stats.before as u64);
-                reg.counter("linuxfp_opt_insns_after_total", &labels)
-                    .add(stats.after as u64);
-                reg.gauge("linuxfp_opt_insns_removed", &labels)
-                    .set(stats.removed() as i64);
-            }
             if let Some(reg) = &self.telemetry {
-                reg.gauge(
-                    "linuxfp_fp_program_insns",
-                    &[("fpm", fp.fpm_label.as_str())],
-                )
-                .set(effective.len() as i64);
+                let labels = [("fpm", fp.fpm_label.as_str())];
+                if let Some(stats) = stats {
+                    reg.counter("linuxfp_opt_insns_before_total", &labels)
+                        .add(stats.before as u64);
+                    reg.counter("linuxfp_opt_insns_after_total", &labels)
+                        .add(stats.after as u64);
+                    reg.gauge("linuxfp_opt_insns_removed", &labels)
+                        .set(stats.removed() as i64);
+                }
+                reg.gauge("linuxfp_fp_program_insns", &labels)
+                    .set(effective.len() as i64);
+                reg.counter("linuxfp_verifier_accepted_total", &[]).inc();
             }
             outcome.opt_removed += stats.map_or(0, |s| s.removed());
-            // With the optimizer off, this is the one verification.
-            let checked = checked.unwrap_or_else(|| Verified::new(fp.program.insns.clone()));
-            let loaded = match checked {
-                Ok(verified) => {
-                    if let Some(reg) = &self.telemetry {
-                        reg.counter("linuxfp_verifier_accepted_total", &[]).inc();
-                    }
-                    LoadedProgram::from_verified(fp.program.name.clone(), verified)
-                }
-                Err(error) => {
-                    if let Some(reg) = &self.telemetry {
-                        reg.counter("linuxfp_verifier_rejected_total", &[]).inc();
-                        reg.events()
-                            .push("verifier_reject", format!("{}: {error}", fp.ifname));
-                    }
-                    return Err(DeployError::Rejected {
-                        ifname: fp.ifname.clone(),
-                        error,
-                    });
-                }
-            };
+            let loaded = LoadedProgram::from_verified(fp.program.name.clone(), verified.clone());
             let len = loaded.len();
             let dispatcher = match self.dispatchers.get(&fp.ifindex) {
                 Some(d) => d,
@@ -274,6 +287,40 @@ impl Deployer {
         Ok(outcome)
     }
 
+    /// Builds `fp`'s program. With `opt` set it goes through the
+    /// bytecode optimizer, which verifies its input and its output,
+    /// falls back to the input on any failure, and hands back the
+    /// verifier's proof of what it returns — so a program is verified
+    /// at most twice, and the optimizer cannot turn a loadable program
+    /// into a rejected one. Without it the verifier runs once.
+    fn build<'a>(&self, opt: bool, fp: &'a SynthesizedFp) -> Result<Build<'a>, DeployError> {
+        let source = fp.program.insns.as_slice();
+        let (checked, stats) = if opt {
+            let (checked, stats) = opt::optimize_verified(source);
+            (checked, Some(stats))
+        } else {
+            (Verified::new(source.to_vec()), None)
+        };
+        match checked {
+            Ok(verified) => Ok(Build {
+                source,
+                verified,
+                stats,
+            }),
+            Err(error) => {
+                if let Some(reg) = &self.telemetry {
+                    reg.counter("linuxfp_verifier_rejected_total", &[]).inc();
+                    reg.events()
+                        .push("verifier_reject", format!("{}: {error}", fp.ifname));
+                }
+                Err(DeployError::Rejected {
+                    ifname: fp.ifname.clone(),
+                    error,
+                })
+            }
+        }
+    }
+
     /// Tears down all data paths (dispatchers stay attached and PASS).
     pub fn uninstall_all(&mut self) {
         for dispatcher in self.dispatchers.values() {
@@ -287,7 +334,6 @@ mod tests {
     use super::*;
     use crate::fpm::FpmInstance;
     use crate::synth::synthesize_pipeline;
-    use linuxfp_ebpf::insn::Insn;
     use linuxfp_netstack::stack::IfAddr;
     use linuxfp_packet::{builder, MacAddr};
     use std::net::Ipv4Addr;
@@ -397,6 +443,97 @@ mod tests {
         assert!(err.to_string().contains("eth0"));
         // The previous good program is still installed.
         assert!(d.installed(eth0).is_some());
+    }
+
+    fn router_filter_fp(ifindex: IfIndex, name: &str) -> SynthesizedFp {
+        let filter = FpmInstance::Filter(crate::fpm::FilterConf {
+            rules: 1,
+            ipset: false,
+            match_ports: false,
+        });
+        synthesize_pipeline(ifindex, name, &[FpmInstance::Router, filter]).unwrap()
+    }
+
+    #[test]
+    fn identical_programs_share_one_build_under_their_own_names() {
+        let (mut k, eth0, eth1) = forwarding_kernel();
+        let mut d = Deployer::new(HookPoint::Xdp, MapStore::new());
+        let out = d
+            .deploy(&mut k, &[router_fp(eth0, "eth0"), router_fp(eth1, "eth1")])
+            .unwrap();
+        assert_eq!(out.built, 1);
+        assert_eq!(out.swapped, 2);
+        let (p0, p1) = (d.installed(eth0).unwrap(), d.installed(eth1).unwrap());
+        assert_eq!(p0.insns(), p1.insns());
+        assert_eq!(
+            p0.insns(),
+            opt::optimize(&router_fp(eth0, "eth0").program.insns).0
+        );
+        assert_eq!((p0.name(), p1.name()), ("linuxfp_eth0", "linuxfp_eth1"));
+        // An unchanged round still builds (to learn what would load) but
+        // swaps nothing.
+        let out = d
+            .deploy(&mut k, &[router_fp(eth0, "eth0"), router_fp(eth1, "eth1")])
+            .unwrap();
+        assert_eq!((out.built, out.swapped), (1, 0));
+    }
+
+    #[test]
+    fn three_interfaces_with_two_distinct_programs_build_twice() {
+        let (mut k, eth0, eth1) = forwarding_kernel();
+        let eth2 = k.add_physical("eth2").unwrap();
+        let mut d = Deployer::new(HookPoint::Xdp, MapStore::new());
+        let fps = [
+            router_fp(eth0, "eth0"),
+            router_filter_fp(eth1, "eth1"),
+            router_fp(eth2, "eth2"),
+        ];
+        let out = d.deploy(&mut k, &fps).unwrap();
+        assert_eq!((out.built, out.swapped), (2, 3));
+        assert_eq!(
+            d.installed(eth0).unwrap().insns(),
+            d.installed(eth2).unwrap().insns()
+        );
+        assert_ne!(
+            d.installed(eth0).unwrap().insns(),
+            d.installed(eth1).unwrap().insns()
+        );
+        // With the optimizer off, each distinct program is verified once
+        // and loaded as synthesized.
+        k.sysctl_set("net.linuxfp.opt", 0).unwrap();
+        let out = d.deploy(&mut k, &fps).unwrap();
+        assert_eq!((out.built, out.swapped), (2, 3));
+        for fp in &fps {
+            let installed = d.installed(fp.ifindex).unwrap();
+            assert_eq!(installed.insns(), fp.program.insns.as_slice());
+            assert_eq!(installed.name(), fp.program.name);
+        }
+    }
+
+    #[test]
+    fn a_rejected_shared_program_fails_the_round_and_keeps_old_paths() {
+        let (mut k, eth0, eth1) = forwarding_kernel();
+        let mut d = Deployer::new(HookPoint::Xdp, MapStore::new());
+        d.deploy(&mut k, &[router_fp(eth0, "eth0"), router_fp(eth1, "eth1")])
+            .unwrap();
+        let before = [d.installed(eth0).unwrap(), d.installed(eth1).unwrap()];
+        let bogus = |ifindex, name: &str| SynthesizedFp {
+            ifindex,
+            ifname: name.into(),
+            program: linuxfp_ebpf::program::Program::new(name, vec![Insn::Exit]),
+            fpm_count: 1,
+            fpm_label: "bogus".into(),
+            cacheable: true,
+        };
+        let err = d
+            .deploy(&mut k, &[bogus(eth0, "eth0"), bogus(eth1, "eth1")])
+            .unwrap_err();
+        assert!(matches!(err, DeployError::Rejected { .. }));
+        assert!(err.to_string().contains("eth0"));
+        for (ifindex, old) in [eth0, eth1].into_iter().zip(before) {
+            let now = d.installed(ifindex).unwrap();
+            assert_eq!((now.name(), now.insns()), (old.name(), old.insns()));
+        }
     }
 
     #[test]

@@ -239,6 +239,7 @@ mod tests {
     fn nat_configured_survives_rule_flush_while_bindings_live() {
         use linuxfp_netstack::conntrack::NatTuple;
         use linuxfp_netstack::nat::{NatChain, NatRule, NatTarget};
+        use linuxfp_netstack::netlink::{NetlinkMessage, NlGroup};
         use std::net::Ipv4Addr;
 
         let mut k = Kernel::new(1);
@@ -266,10 +267,17 @@ mod tests {
             "live bindings keep NAT configured after a flush"
         );
 
-        // Once the bindings expire and are collected, the stage can go.
+        // Once the bindings expire and are collected, the stage can go,
+        // and the collection says so on netlink (once).
+        let watcher = k.netlink_subscribe(&[NlGroup::Netfilter]);
         k.advance(linuxfp_sim::Nanos::from_secs(3600));
-        k.conntrack.nat_gc(k.now());
+        k.run_housekeeping();
         assert!(!ObjectStore::snapshot(&k).nat_configured);
+        let events = k.netlink_poll(watcher);
+        assert!(
+            matches!(events.as_slice(), [NetlinkMessage::NatChanged { .. }]),
+            "{events:?}"
+        );
     }
 
     #[test]

@@ -435,8 +435,9 @@ pub(crate) fn helper_contract(helper: HelperId) -> (u8, &'static [(u8, i64)], &'
 
 /// Instructions [`verify`] accepted. Only this module can build one, so
 /// holding one is the proof: [`crate::program::LoadedProgram::from_verified`]
-/// loads it without verifying a second time.
-#[derive(Debug, PartialEq, Eq)]
+/// loads it without verifying a second time. A clone holds the same
+/// instructions, so it is the same proof.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Verified(Vec<Insn>);
 
 impl Verified {

@@ -164,15 +164,7 @@ impl Kernel {
     fn packet_path_gc(&mut self) {
         if self.now.saturating_sub(self.last_ct_gc) >= Nanos::from_secs(1) {
             self.last_ct_gc = self.now;
-            let now = self.now;
-            self.conntrack.gc(now);
-            self.conntrack.nat_gc(now);
-            for port in self.conntrack.take_freed_nat_ports() {
-                self.nat.release_port(port);
-            }
-            for (addr, port) in self.conntrack.take_freed_backends() {
-                self.ipvs.release_backend(addr, port);
-            }
+            self.conntrack_gc();
         }
     }
 

@@ -384,3 +384,72 @@ fn flushing_nat_rules_restores_the_plain_router_fast_path() {
     let (src, sport, _, _) = tx_tuple(&out2);
     assert_eq!((src, sport), (CLIENT, 42000));
 }
+
+/// The FPM kinds in every interface's pipeline of a processing graph.
+fn graph_nfs(graph: &linuxfp::json::Value) -> Vec<String> {
+    let interfaces = graph["interfaces"].as_object().expect("interfaces");
+    interfaces
+        .values()
+        .flat_map(|entry| entry["pipeline"].as_array().expect("pipeline").iter())
+        .map(|node| node["nf"].as_str().expect("nf").to_string())
+        .collect()
+}
+
+/// Masqueraded flows bind, the nat table is flushed (the bindings keep
+/// the NAT stage deployed), and the clock passes the bindings' timeout:
+/// collecting them must tell the controller, once, so that the deployed
+/// graph drops the stage exactly as a fresh introspection would.
+#[test]
+fn collecting_the_last_binding_after_a_flush_retires_the_nat_stage() {
+    use linuxfp::core::graph::build_graph;
+    use linuxfp::core::ObjectStore;
+    use linuxfp::netstack::netlink::{NetlinkMessage, NlGroup};
+    use linuxfp::packet::batch::Batch;
+
+    // (a) housekeeping collects; (b) a burst's packet-path GC does.
+    for via_burst in [false, true] {
+        let (mut k, lan, _) = nat_kernel();
+        let (mut ctrl, _) = Controller::attach(&mut k, ControllerConfig::default()).unwrap();
+        for sport in 42000..42004 {
+            let out = k.receive(lan, outbound(&k, lan, sport));
+            assert_eq!(tx_tuple(&out).0, PUBLIC_IP, "masqueraded");
+        }
+        assert!(k.conntrack.nat_len() > 0);
+        k.iptables_nat_flush();
+        ctrl.poll(&mut k)
+            .unwrap()
+            .expect("nat flush reaches the controller");
+        assert!(graph_nfs(ctrl.graph()).contains(&"nat".to_string()));
+
+        let watcher = k.netlink_subscribe(&[NlGroup::Netfilter]);
+        k.advance(k.conntrack.established_timeout + Nanos::from_secs(1));
+        if via_burst {
+            let mut batch = Batch::with_capacity(1);
+            batch.push(outbound(&k, lan, 43000));
+            k.inject_batch(lan, &mut batch);
+        } else {
+            assert!(k.run_housekeeping().nat_expired > 0);
+        }
+        assert_eq!(k.conntrack.nat_len(), 0);
+        let published = k
+            .netlink_poll(watcher)
+            .iter()
+            .filter(|m| matches!(m, NetlinkMessage::NatChanged { .. }))
+            .count();
+        assert_eq!(published, 1, "via_burst={via_burst}");
+
+        let report = ctrl.poll(&mut k).unwrap().expect("the event is delivered");
+        assert!(report.changed, "via_burst={via_burst}");
+        let fresh = build_graph(&ObjectStore::snapshot(&k), &Capabilities::full());
+        assert_eq!(ctrl.graph(), &fresh, "via_burst={via_burst}");
+        assert!(!graph_nfs(&fresh).contains(&"nat".to_string()));
+
+        // Later passes collect nothing new and publish nothing.
+        k.advance(Nanos::from_secs(2));
+        k.run_housekeeping();
+        let mut batch = Batch::with_capacity(1);
+        batch.push(outbound(&k, lan, 43001));
+        k.inject_batch(lan, &mut batch);
+        assert!(k.netlink_poll(watcher).is_empty(), "via_burst={via_burst}");
+    }
+}

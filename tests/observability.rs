@@ -200,6 +200,7 @@ fn both_renderers_emit_every_registered_metric() {
         "linuxfp_vm_helper_calls_total",
         "linuxfp_vm_verdicts_total",
         "linuxfp_verifier_accepted_total",
+        "linuxfp_deploy_programs_total",
         "linuxfp_reconcile_seconds",
         "linuxfp_graph_rebuilds_total",
     ] {
@@ -459,5 +460,40 @@ fn nat_spans_conserve_stage_attribution_and_record_rewrites() {
             }
         ))),
         "no NAT rewrite event in {spans:?}"
+    );
+}
+
+/// The router scenario's two NICs synthesize one program: the deployer
+/// builds it once and both interfaces load it. Building is host work
+/// only — the verifier and optimizer series still count per interface,
+/// exactly as when each interface built its own copy.
+#[test]
+fn identical_interfaces_share_one_build_and_keep_per_interface_series() {
+    let registry = Registry::new();
+    let _lfp =
+        LinuxFpPlatform::with_telemetry(Scenario::router(), HookPoint::Xdp, registry.clone());
+    let programs =
+        |result| registry.counter_value("linuxfp_deploy_programs_total", &[("result", result)]);
+    assert_eq!(programs("built"), Some(1));
+    assert_eq!(programs("shared"), Some(1));
+
+    let router = [("fpm", "router")];
+    assert_eq!(registry.counter_total("linuxfp_verifier_accepted_total"), 2);
+    assert_eq!(registry.counter_total("linuxfp_verifier_rejected_total"), 0);
+    assert_eq!(
+        registry.counter_value("linuxfp_opt_insns_before_total", &router),
+        Some(2 * 104)
+    );
+    assert_eq!(
+        registry.counter_value("linuxfp_opt_insns_after_total", &router),
+        Some(2 * 72)
+    );
+    assert_eq!(
+        registry.gauge_value("linuxfp_opt_insns_removed", &router),
+        Some(32)
+    );
+    assert_eq!(
+        registry.gauge_value("linuxfp_fp_program_insns", &router),
+        Some(72)
     );
 }
